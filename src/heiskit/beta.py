@@ -1,13 +1,17 @@
 """Vertical beta numbers: best approximation of a set by vertical planes.
 
-The distance from a point to a vertical plane depends only on the (x, y)
-part, so the plane fit is a weighted one-dimensional location problem per
-normal direction: Chebyshev midpoint for the sup norm, weighted median for
-L^1, weighted mean for L^2, and a convex 1-d solve otherwise.  The direction
-search is a coarse grid over [0, pi) followed by local refinement; the
-objective is piecewise smooth in the angle with few local minima at the
-sample sizes used here.  Ties are broken towards the smallest angle, then
-the smallest |offset|; only the objective value is meant for assertions.
+The distance from a point to a vertical plane depends only on its (x, y)
+part, so a plane fit is a weighted fit of a line to the projected points.
+p = inf and p = 2 are solved exactly: half the least width of the points,
+attained across an edge of their convex hull and found by rotating
+calipers (Houle-Toussaint 1988), and the line through the weighted mean
+along the least-variance direction.
+Other p search a grid of normal angles over [0, pi), the smallest angle
+winning ties, then may refine the best; per angle the offset is the
+weighted median min{v : W(a <= v) >= W/2} for p = 1 and a bounded convex
+1-d solve otherwise.  The exact L^1 optimum, a line through two sample
+points (Martini-Schoebel 1998), costs O(m^2); the grid value is at or above
+it.  Only the value is meant for assertions, not which optimal plane wins.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.spatial import ConvexHull, QhullError
 
 from .core import Ball, VerticalPlane, as_points
 from .domains import IntrinsicGraph, WeightedSample, region_for_ball, surface_sample
@@ -25,6 +30,7 @@ from .quadrature import Estimate, SampleConfig
 
 __all__ = [
     "BetaResult",
+    "EmptyBallError",
     "beta_inf",
     "beta_p",
     "OscBetaComparison",
@@ -34,6 +40,9 @@ __all__ = [
     "CarlesonScan",
     "carleson_scan",
 ]
+
+class EmptyBallError(ValueError):
+    """A sample has no points inside the ball, so there is nothing to fit."""
 
 
 @dataclass(frozen=True)
@@ -46,8 +55,19 @@ class BetaResult:
 def _in_ball(sample: WeightedSample, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
     mask = sample.in_ball(ball)
     if not np.any(mask):
-        raise ValueError("no sample points in the ball")
+        raise EmptyBallError("no sample points in the ball")
     return sample.points[mask], sample.weights[mask]
+
+
+def _outer_points(g: IntrinsicGraph, ball: Ball, n: int, seed: int, n_outer: int):
+    """About n_outer in-ball points of a surface sample, by a fixed stride,
+    with weights scaled up to stand in for the whole in-ball population."""
+    sample = surface_sample(g, region_for_ball(ball), n, seed=seed)
+    idx = np.flatnonzero(sample.in_ball(ball))
+    if len(idx) == 0:
+        raise EmptyBallError("no surface points in the window")
+    sel = idx[:: max(1, len(idx) // n_outer)][:n_outer]
+    return sample.points[sel], sample.weights[sel] * (len(idx) / len(sel))
 
 
 def _thin(points: np.ndarray, weights: np.ndarray, max_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,34 +79,27 @@ def _thin(points: np.ndarray, weights: np.ndarray, max_points: int) -> tuple[np.
     return points[::stride], weights[::stride] * (n / len(points[::stride]))
 
 
-def _weighted_median(a: np.ndarray, w: np.ndarray) -> float:
-    order = np.argsort(a, kind="stable")
-    cw = np.cumsum(w[order])
-    k = int(np.searchsorted(cw, 0.5 * cw[-1]))
-    return float(a[order[min(k, len(a) - 1)]])
-
-
 def _offset_solve(a: np.ndarray, w: np.ndarray, p_exp: float) -> tuple[float, float]:
-    """Best offset and the attained sum(w * |a - c|^p) for one direction."""
-    if math.isinf(p_exp):
-        lo, hi = float(a.min()), float(a.max())
-        c = 0.5 * (lo + hi)
-        return c, 0.5 * (hi - lo)
+    """Best offset and the attained sum(w * |a - c|^p) for one direction.
+
+    For p = 1 the offset is the weighted median min{v : W(a <= v) >= W/2}, a
+    value, so the order a sort gives tied projections does not matter.
+    """
     if p_exp == 1.0:
-        c = _weighted_median(a, w)
-    elif p_exp == 2.0:
-        c = float(np.average(a, weights=w))
-    else:
-        lo, hi = float(a.min()), float(a.max())
-        if lo == hi:
-            return lo, 0.0
-        res = minimize_scalar(
-            lambda c: float(np.sum(w * np.abs(a - c) ** p_exp)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-10 * max(1.0, hi - lo)},
-        )
-        c = float(res.x)
+        order = np.argsort(a)
+        cw = np.cumsum(w[order])
+        c = float(a[order[min(int(np.searchsorted(cw, 0.5 * cw[-1])), len(a) - 1)]])
+        return c, float(np.abs(a - c) @ w)
+    lo, hi = float(a.min()), float(a.max())
+    if lo == hi:
+        return lo, 0.0
+    res = minimize_scalar(
+        lambda c: float(np.sum(w * np.abs(a - c) ** p_exp)),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-10 * max(1.0, hi - lo)},
+    )
+    c = float(res.x)
     return c, float(np.sum(w * np.abs(a - c) ** p_exp))
 
 
@@ -120,13 +133,49 @@ def _plane_search(
     return theta, offset, obj
 
 
-def beta_inf(
-    sample: WeightedSample, ball: Ball, theta_nodes: int = 180, refine: bool = True
-) -> BetaResult:
-    """Sup-based vertical beta number of the sampled set inside the ball."""
-    pts, w = _in_ball(sample, ball)
-    theta, offset, obj = _plane_search(pts[:, :2], w, math.inf, theta_nodes, refine)
-    return BetaResult(obj / ball.radius, VerticalPlane(theta, offset), math.inf)
+def _unit(normal: np.ndarray) -> tuple[float, np.ndarray]:
+    """The angle in [0, pi) of a normal's line, and that line's unit normal."""
+    theta = math.atan2(normal[1], normal[0]) % math.pi
+    return theta, np.array([math.cos(theta), math.sin(theta)])
+
+
+def _l2_plane(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """(theta, offset, sum(w d^2)) of the weighted least-squares plane."""
+    mean = w @ z / w.sum()
+    d = z - mean
+    theta, normal = _unit(np.linalg.eigh((d * w[:, None]).T @ d)[1][:, 0])  # eigenvalues ascend
+    return theta, float(mean @ normal), float(w @ (d @ normal) ** 2)
+
+
+def _linf_plane(z: np.ndarray) -> tuple[float, float, float]:
+    """(theta, offset, half width) of the plane with the least largest distance."""
+    try:
+        v = z[ConvexHull(z).vertices]
+    except QhullError:  # fewer than 3 points, or all on one line
+        d = z[np.argmax(np.sum((z - z[0]) ** 2, axis=1))] - z[0]
+        theta, normal = _unit(np.array([-d[1], d[0]]) if np.any(d) else np.array([1.0, 0.0]))
+    else:
+        # Rotating calipers: the least width is across a hull edge, and the
+        # vertex farthest inside from edge i starts the first edge turned by
+        # pi or more from it.  The counter-clockwise edges of the hull turn
+        # monotonically, so one sorted search finds every such vertex.
+        e = np.roll(v, -1, axis=0) - v
+        turn = np.arctan2(e[:, 1], e[:, 0])
+        turn = (turn - turn[0]) % (2 * math.pi)
+        far = v[np.searchsorted(np.concatenate((turn, turn + 2 * math.pi)), turn + math.pi) % len(v)] - v
+        widths = (e[:, 0] * far[:, 1] - e[:, 1] * far[:, 0]) / np.hypot(e[:, 0], e[:, 1])
+        k = int(np.argmin(widths))
+        theta, normal = _unit(np.array([-e[k, 1], e[k, 0]]))
+    a = z @ normal
+    lo, hi = float(a.min()), float(a.max())
+    return theta, 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def beta_inf(sample: WeightedSample, ball: Ball) -> BetaResult:
+    """Sup-based vertical beta number of the sampled set inside the ball (exact)."""
+    pts, _ = _in_ball(sample, ball)
+    theta, offset, half_width = _linf_plane(pts[:, :2])
+    return BetaResult(half_width / ball.radius, VerticalPlane(theta, offset), math.inf)
 
 
 def beta_p(
@@ -143,11 +192,12 @@ def beta_p(
     normalization "r3" divides the p-th moment by r^3 (the regular-measure
     convention); "mass" divides by the total in-ball weight, which turns the
     number into a weighted power mean and makes the family exactly monotone
-    in p on a fixed sample.
+    in p on a fixed sample.  p = 2 is solved exactly and ignores theta_nodes
+    and refine; p = inf is beta_inf.
     """
     p_exp = float(p_exp)
-    if p_exp < 1.0:
-        raise ValueError("p exponent must be >= 1")
+    if not 1.0 <= p_exp < math.inf:
+        raise ValueError("p exponent must be finite and >= 1; use beta_inf for p = inf")
     if normalization not in ("r3", "mass"):
         raise ValueError(f"unknown normalization {normalization!r}")
     pts, w = _in_ball(sample, ball)
@@ -155,7 +205,10 @@ def beta_p(
         raise ValueError("zero total weight in the ball")
     pts, w = _thin(pts, w, max_points)
     r = ball.radius
-    theta, offset, obj = _plane_search(pts[:, :2], w, p_exp, theta_nodes, refine)
+    if p_exp == 2.0:
+        theta, offset, obj = _l2_plane(pts[:, :2], w)
+    else:
+        theta, offset, obj = _plane_search(pts[:, :2], w, p_exp, theta_nodes, refine)
     den = r**3 if normalization == "r3" else float(w.sum())
     value = (obj / (r**p_exp) / den) ** (1.0 / p_exp)
     return BetaResult(value, VerticalPlane(theta, offset), p_exp)
@@ -231,21 +284,11 @@ def perimeter_beta_bound(
     inner_radii = np.asarray([r for r in grid.scales() if r <= R * (1 + 1e-12)])
     if len(inner_radii) == 0:
         raise ValueError("scale grid has no nodes at or below the window radius")
-    outer_ball = Ball(p0, enlargement * R)
-    outer = surface_sample(g, region_for_ball(outer_ball), beta_n, seed=cfg.child(11).seed)
-    mask = outer.in_ball(outer_ball)
-    if not np.any(mask):
-        raise ValueError("no surface points in the enlarged window")
-    idx = np.flatnonzero(mask)
-    stride = max(1, len(idx) // n_outer)
-    sel = idx[::stride][:n_outer]
-    # Unbiased surface quadrature: selected points stand in for the whole
-    # in-ball population with their weights scaled up accordingly.
-    scale_up = len(idx) / len(sel)
+    # Unbiased surface quadrature over a decimation of the enlarged window
+    outer, weights = _outer_points(g, Ball(p0, enlargement * R), beta_n, cfg.child(11).seed, n_outer)
 
     beta_term = 0.0
-    for j, i in enumerate(sel):
-        q = outer.points[i]
+    for j, q in enumerate(outer):
         inner = 0.0
         for k, r in enumerate(inner_radii):
             # Each beta ball gets its own local sample so that small scales
@@ -259,7 +302,7 @@ def perimeter_beta_bound(
             )
             b = beta_p(local, bball, p_exp, theta_nodes=theta_nodes, refine=False)
             inner += b.value**p_exp * grid.dlog
-        beta_term += outer.weights[i] * scale_up * inner ** (1.0 / p_exp)
+        beta_term += weights[j] * inner ** (1.0 / p_exp)
 
     bulk = R**3
     rhs = bulk + beta_term
@@ -311,19 +354,10 @@ def carleson_scan(
     radii = ScaleGrid(R * 2.0**-octaves, R, per_octave).scales()
     dlog = math.log(2.0) / per_octave
 
-    window = Ball(p0, R)
-    sample = surface_sample(g, region_for_ball(window), outer_n, seed=cfg.child(13).seed)
-    mask = sample.in_ball(window)
-    if not np.any(mask):
-        raise ValueError("no surface points in the scan window")
-    idx = np.flatnonzero(mask)
-    stride = max(1, len(idx) // n_outer)
-    sel = idx[::stride][:n_outer]
-    scale_up = len(idx) / len(sel)
+    outer, weights = _outer_points(g, Ball(p0, R), outer_n, cfg.child(13).seed, n_outer)
 
     total = 0.0
-    for j, i in enumerate(sel):
-        q = sample.points[i]
+    for j, q in enumerate(outer):
         inner = 0.0
         for k, r in enumerate(radii):
             child = cfg.child(1000 + j * len(radii) + k)
@@ -336,12 +370,12 @@ def carleson_scan(
             else:
                 raise ValueError(f"unknown coefficient {coefficient!r}")
             inner += val**p_exp * dlog
-        total += sample.weights[i] * scale_up * inner
+        total += weights[j] * inner
 
     return CarlesonScan(
         ratio=total / R**3,
         double_integral=total,
         radii=radii,
-        n_outer=len(sel),
+        n_outer=len(outer),
         coefficient=coefficient,
     )

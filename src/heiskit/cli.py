@@ -4,7 +4,8 @@ Every experiment is a pure function of its configuration: outputs (CSV or
 JSON) are byte-identical across reruns, including under parallel chunk
 execution.  Config files are flat key/value text with one section per
 experiment; unknown keys are rejected.  Exit codes: 0 success, 1 a built-in
-assertion failed, 2 configuration error.
+assertion failed or a numerical failure (a ball without sample points, a
+non-finite integrand, a kernel singularity), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, beta, core, domains, oscillation, riesz
-from .quadrature import SampleConfig
+from .quadrature import NonFiniteIntegrandError, SampleConfig
 
 __all__ = [
     "ConfigError",
@@ -370,6 +371,11 @@ def _exp_beta_scan(cfg: ExperimentConfig):
         ball = core.Ball(core.point(*cfg.center), r)
         seed = scfg.child(k).seed
         sample = domains.surface_sample(g, domains.region_for_ball(ball), cfg.samples, seed)
+        inside = int(np.count_nonzero(sample.in_ball(ball)))
+        if inside < 3:
+            ok = False
+            failures.append(f"violated invariant: {inside} sample points in the ball at r={r:g}, need 3")
+            continue
         bp = beta.beta_p(sample, ball, cfg.p_exp)
         binf = beta.beta_inf(sample, ball)
         rows.append((g.label, cx, cy, ct, r, cfg.p_exp, bp.value, bp.plane.theta, bp.plane.offset,
@@ -631,6 +637,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             fmt=args.fmt,
         )
         return run(cfg)
+    except (beta.EmptyBallError, NonFiniteIntegrandError, riesz.SingularityError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -149,20 +149,28 @@ def _cylinder_grid(k: int, radius: float) -> np.ndarray:
     return np.stack((rad * np.cos(a.ravel()), rad * np.sin(a.ravel()), v.ravel()), axis=-1)
 
 
-def sample_ball(ball: Ball, cfg: SampleConfig) -> Iterator[np.ndarray]:
-    """Stream of point chunks, uniform on the ball, left-translated to its center.
+def _ball_chunks(ball: Ball, cfg: SampleConfig) -> tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]:
+    """(make_chunk, chunks) of the ball's nodes, left-translated to its center.
 
     Left translations have unit Jacobian, so translating a uniform sample of
     B(0, r) by the center yields a uniform sample of B(center, r).
     """
     if cfg.method == "stratified-grid":
-        pts = _cylinder_grid(_grid_axes(cfg.n), ball.radius)
-        for i, size in _mc_chunks(len(pts)):
-            yield mul(ball.center, pts[i * CHUNK : i * CHUNK + size])
-    else:
-        for i, size in _mc_chunks(cfg.n):
-            rng = np.random.default_rng([cfg.seed, i])
-            yield mul(ball.center, _cylinder_chunk(rng, size, ball.radius))
+        grid = _cylinder_grid(_grid_axes(cfg.n), ball.radius)
+        return (lambda i, size: mul(ball.center, grid[i * CHUNK : i * CHUNK + size])), _mc_chunks(len(grid))
+
+    def make(i: int, size: int) -> np.ndarray:
+        rng = np.random.default_rng([cfg.seed, i])
+        return mul(ball.center, _cylinder_chunk(rng, size, ball.radius))
+
+    return make, _mc_chunks(cfg.n)
+
+
+def sample_ball(ball: Ball, cfg: SampleConfig) -> Iterator[np.ndarray]:
+    """Stream of point chunks, uniform on the ball."""
+    make, chunks = _ball_chunks(ball, cfg)
+    for i, size in chunks:
+        yield make(i, size)
 
 
 def _reduce_uniform(
@@ -170,7 +178,12 @@ def _reduce_uniform(
     chunks: list[tuple[int, int]],
     f: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[float, float, int]:
-    """Evaluate f over chunks (possibly in parallel) and reduce in chunk order."""
+    """Evaluate f over chunks (possibly in parallel) and reduce in chunk order.
+
+    Returns (mean, M2, n), M2 being the sum of squared deviations from the
+    mean.  Chunks are merged by the pairwise update of Chan, Golub and
+    LeVeque, which does not cancel when the mean is large against the spread.
+    """
 
     def one(job: tuple[int, int]) -> tuple[float, float, int]:
         i, size = job
@@ -181,7 +194,10 @@ def _reduce_uniform(
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NonFiniteIntegrandError(pts[bad], float(vals[bad]))
-        return float(vals.sum()), float((vals * vals).sum()), len(pts)
+        mean = float(vals.mean())
+        dev = vals - mean
+        dev *= dev
+        return mean, float(dev.sum()), len(pts)
 
     workers = _workers()
     if workers > 1 and len(chunks) > 1:
@@ -190,21 +206,20 @@ def _reduce_uniform(
     else:
         parts = [one(c) for c in chunks]
 
-    s = q = 0.0
-    n = 0
-    for ps, pq, pn in parts:  # fixed order regardless of worker count
-        s += ps
-        q += pq
-        n += pn
-    return s, q, n
+    mean, m2, n = parts[0]
+    for pmean, pm2, pn in parts[1:]:  # fixed order regardless of worker count
+        delta = pmean - mean
+        total = n + pn
+        mean += delta * pn / total
+        m2 += pm2 + delta * delta * n * pn / total
+        n = total
+    return mean, m2, n
 
 
-def _estimate_from_sums(s: float, q: float, n: int, volume: float, deterministic: bool) -> Estimate:
-    mean = s / n
+def _estimate_from_moments(mean: float, m2: float, n: int, volume: float, deterministic: bool) -> Estimate:
     if deterministic or n < 2:
         return Estimate(volume * mean, 0.0, n)
-    var = max(q - s * s / n, 0.0) / (n - 1)
-    return Estimate(volume * mean, volume * math.sqrt(var / n), n)
+    return Estimate(volume * mean, volume * math.sqrt(m2 / (n - 1) / n), n)
 
 
 def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: SampleConfig) -> Estimate:
@@ -215,19 +230,8 @@ def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: Sampl
     exact volume (pi/2) r^4.  Non-finite integrand values abort with the
     offending point.
     """
-    if cfg.method == "stratified-grid":
-        grid = _cylinder_grid(_grid_axes(cfg.n), ball.radius)
-        chunks = _mc_chunks(len(grid))
-        make = lambda i, size: mul(ball.center, grid[i * CHUNK : i * CHUNK + size])
-        s, q, n = _reduce_uniform(make, chunks, f)
-        return _estimate_from_sums(s, q, n, ball.volume, deterministic=True)
-
-    def make(i: int, size: int) -> np.ndarray:
-        rng = np.random.default_rng([cfg.seed, i])
-        return mul(ball.center, _cylinder_chunk(rng, size, ball.radius))
-
-    s, q, n = _reduce_uniform(make, _mc_chunks(cfg.n), f)
-    return _estimate_from_sums(s, q, n, ball.volume, deterministic=False)
+    deterministic = cfg.method == "stratified-grid"
+    return _estimate_from_moments(*_reduce_uniform(*_ball_chunks(ball, cfg), f), ball.volume, deterministic)
 
 
 def integrate_box(
@@ -253,15 +257,13 @@ def integrate_box(
         grid = lo + g * span
         chunks = _mc_chunks(len(grid))
         make = lambda i, size: grid[i * CHUNK : i * CHUNK + size]
-        s, q, n = _reduce_uniform(make, chunks, f)
-        return _estimate_from_sums(s, q, n, volume, deterministic=True)
+        return _estimate_from_moments(*_reduce_uniform(make, chunks, f), volume, deterministic=True)
 
     def make(i: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([cfg.seed, i])
         return lo + rng.random((size, 3)) * span
 
-    s, q, n = _reduce_uniform(make, _mc_chunks(cfg.n), f)
-    return _estimate_from_sums(s, q, n, volume, deterministic=False)
+    return _estimate_from_moments(*_reduce_uniform(make, _mc_chunks(cfg.n), f), volume, deterministic=False)
 
 
 def integrate_1d(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, nodes: int) -> float:

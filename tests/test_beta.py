@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,12 +121,152 @@ def test_scale_invariance():
 def test_beta_error_paths():
     s = make_sample(plane_cloud(0.0, n=50))
     far = core.Ball(core.point(50, 0, 0), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(beta.EmptyBallError):
         beta.beta_inf(s, far)
+    with pytest.raises(beta.EmptyBallError):
+        beta.beta_p(s, far, 1.0)
     with pytest.raises(ValueError):
         beta.beta_p(s, BALL, 0.5)
     with pytest.raises(ValueError):
+        beta.beta_p(s, BALL, math.inf)
+    with pytest.raises(ValueError):
         beta.beta_p(s, BALL, 1.0, normalization="bogus")
+
+
+def l1_reference(z, w, theta):
+    """Per-angle weighted median by a stable argsort, and its L1 objective."""
+    a = z[:, 0] * math.cos(theta) + z[:, 1] * math.sin(theta)
+    order = np.argsort(a, kind="stable")
+    cw = np.cumsum(w[order])
+    c = a[order[min(int(np.searchsorted(cw, 0.5 * cw[-1])), len(a) - 1)]]
+    return float(np.sum(w * np.abs(a - c)))
+
+
+@pytest.mark.parametrize("m, nodes, ties", [
+    (1, 180, False), (2, 180, False), (7, 180, True), (500, 180, True),
+    (5000, 180, False), (70_000, 6, True),
+])
+def test_l1_fit_matches_per_angle_reference(m, nodes, ties):
+    # one and two points, tied projections from rounded coordinates, and
+    # m above 2^16
+    rng = np.random.default_rng(m)
+    z = rng.normal(size=(m, 2)) * [0.3, 0.5]
+    if ties:
+        z = np.round(z, 1)
+    w = rng.uniform(0.5, 2.0, m)
+    thetas = np.arange(nodes) * (math.pi / nodes)
+    objs = [beta._direction_objective(z, w, th, 1.0)[1] for th in thetas]
+    ref = [l1_reference(z, w, th) for th in thetas]
+    np.testing.assert_allclose(objs, ref, rtol=1e-12, atol=0.0)
+
+
+def test_beta2_matches_dense_angle_grid():
+    # n(theta)^T C n(theta) is lambda_min + (lambda_max - lambda_min)
+    # sin^2(theta - theta*), so the best of k grid angles exceeds the exact
+    # optimum by at most trace(C) sin^2(pi / 2k)
+    rng = np.random.default_rng(21)
+    pts = rng.normal(size=(300, 3)) * [0.3, 0.5, 0.2] + [0.1, -0.2, 0.0]
+    w = rng.uniform(0.5, 2.0, 300)
+    ball = core.Ball(core.point(0, 0, 0), 10.0)
+    res = beta.beta_p(make_sample(pts, w), ball, 2.0, normalization="mass")
+    k = 3600
+    th = np.arange(k) * (math.pi / k)
+    a = np.cos(th)[:, None] * pts[:, 0] + np.sin(th)[:, None] * pts[:, 1]
+    c = a @ w / w.sum()
+    objs = (a - c[:, None]) ** 2 @ w
+    exact = (res.value * ball.radius) ** 2 * w.sum()  # sum w d^2 at the reported plane
+    d = pts[:, :2] - w @ pts[:, :2] / w.sum()
+    slack = float(w @ np.sum(d * d, axis=1)) * math.sin(math.pi / (2 * k)) ** 2
+    assert exact <= objs.min() * (1 + 1e-12)
+    assert objs.min() <= exact + slack
+    a_best = pts[:, 0] * math.cos(res.plane.theta) + pts[:, 1] * math.sin(res.plane.theta)
+    assert res.plane.offset == pytest.approx(float(a_best @ w / w.sum()), abs=1e-12)
+
+
+def pair_width(z):
+    """Least width of the points across any line through two of them."""
+    best = math.inf
+    for i, j in itertools.combinations(range(len(z)), 2):
+        d = z[j] - z[i]
+        a = z @ (np.array([-d[1], d[0]]) / math.hypot(d[0], d[1]))
+        best = min(best, float(a.max() - a.min()))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_beta_inf_matches_all_pairs(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 40))
+    pts = rng.normal(size=(m, 3)) * [0.3, 0.5, 0.2]
+    ball = core.Ball(core.point(0, 0, 0), 10.0)
+    res = beta.beta_inf(make_sample(pts), ball)
+    assert res.value == pytest.approx(0.5 * pair_width(pts[:, :2]) / ball.radius, rel=1e-12)
+    # the reported plane attains the value
+    dist = np.abs(core.dist_to_plane(pts, res.plane))
+    assert float(dist.max()) == pytest.approx(res.value * ball.radius, rel=1e-12)
+
+
+def test_beta_inf_exact_zero_on_collinear_points():
+    s = make_sample(plane_cloud(0.3, n=30_000, seed=22))
+    res = beta.beta_inf(s, BALL)
+    assert res.value == 0.0
+    assert (res.plane.theta, res.plane.offset) == (0.0, 0.3)
+
+
+def hull_edge_width(v):
+    """Least width of points given in order along a circle arc, across the
+    edges of their hull: the chords between neighbours and the closing one."""
+    best = math.inf
+    for d in np.vstack((np.diff(v, axis=0), v[:1] - v[-1:])):
+        a = v @ (np.array([-d[1], d[0]]) / math.hypot(d[0], d[1]))
+        best = min(best, float(a.max() - a.min()))
+    return best
+
+
+def test_beta_inf_on_convex_arc():
+    # every point of an arc is a hull vertex
+    ball = core.Ball(core.point(0, 0, 0), 10.0)
+    t = np.linspace(0.0, 0.5 * math.pi, 50_001)  # t = pi/4 is a node
+    pts = np.stack((np.cos(t), np.sin(t), np.zeros_like(t)), axis=-1)
+    res = beta.beta_inf(make_sample(pts), ball)
+    # least width: across the closing chord, to the point at t = pi/4
+    assert res.value == pytest.approx(0.5 * (1 - math.sqrt(0.5)) / ball.radius, rel=1e-12)
+    rng = np.random.default_rng(23)
+    sub = pts[rng.choice(len(pts), 40, replace=False)]
+    sub_value = beta.beta_inf(make_sample(sub), ball).value
+    assert sub_value == pytest.approx(0.5 * pair_width(sub[:, :2]) / ball.radius, rel=1e-12)
+    t = np.sort(rng.uniform(0.0, 1.3 * math.pi, 2000))
+    arc = np.stack((np.cos(t), np.sin(t), np.zeros_like(t)), axis=-1)
+    arc_value = beta.beta_inf(make_sample(arc), ball).value
+    assert arc_value == pytest.approx(0.5 * hull_edge_width(arc[:, :2]) / ball.radius, rel=1e-12)
+
+
+def l1_line_oracle(z, w):
+    """Least weighted L1 distance to a line; an optimal line passes through
+    two of the points (Martini-Schoebel)."""
+    best = math.inf
+    for i, j in itertools.combinations(range(len(z)), 2):
+        d = z[j] - z[i]
+        normal = np.array([-d[1], d[0]]) / math.hypot(d[0], d[1])
+        best = min(best, float(np.sum(w * np.abs((z - z[i]) @ normal))))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_beta1_within_grid_bound_of_two_point_oracle(seed):
+    # the optimum is within pi/360 of one of the 180 grid angles, and the
+    # objective moves by at most sum w |z - centre| per radian
+    rng = np.random.default_rng([seed, 11])
+    pts = rng.normal(size=(12, 3)) * [0.3, 0.5, 0.1]
+    w = rng.uniform(0.5, 2.0, 12)
+    ball = core.Ball(core.point(0, 0, 0), 4.0)
+    got = beta.beta_p(make_sample(pts, w), ball, 1.0, normalization="mass").value
+    z = pts[:, :2]
+    norm = ball.radius * float(w.sum())
+    oracle = l1_line_oracle(z, w) / norm
+    centre = np.median(z, axis=0)
+    slack = float(np.sum(w * np.hypot(*(z - centre).T))) * (math.pi / 360.0) / norm
+    assert oracle * (1.0 - 1e-9) <= got <= oracle + slack
 
 
 def test_general_p_offset_solve_is_convex_consistent():

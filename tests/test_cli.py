@@ -4,9 +4,10 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from heiskit import cli
+from heiskit import cli, core, domains
 
 
 def test_parse_list_and_ranges():
@@ -133,6 +134,32 @@ def test_beta_scan_runs(tmp_path):
     assert len(rows) == 3  # header + (p_exp, inf) rows
 
 
+def test_beta_scan_curved_lift(tmp_path):
+    # the (x, y) projection of a sin lift is a curve, so most in-ball points
+    # are hull vertices; the exact beta_inf plane attains the reported value
+    # and beats every plane of a dense angle grid
+    out = tmp_path / "beta.json"
+    code = run_main([
+        "beta-scan", "--domain", "lift:phi0=sin,scale=2", "--radius", "1",
+        "--seed", "4", "--format", "json", "--out", str(out),
+    ])
+    assert code == 0
+    row = json.loads(out.read_text())["rows"][1]
+    _, _, _, _, r, p_exp, value, theta, offset, n, seed = row
+    assert p_exp == "inf" and n == 200000
+    ball = core.Ball(core.point(0, 0, 0), r)
+    g = domains.parse_domain("lift:phi0=sin,scale=2")
+    sample = domains.surface_sample(g, domains.region_for_ball(ball), n, seed)
+    z = sample.points[sample.in_ball(ball)][:, :2]
+    assert len(z) > 10_000
+    dist = np.abs(z @ [math.cos(theta), math.sin(theta)] - offset)
+    assert float(dist.max()) == pytest.approx(value * r, rel=1e-9)
+    th = np.arange(3600) * (math.pi / 3600)
+    grid_width = min(float(np.ptp(z @ np.stack((np.cos(b), np.sin(b))), axis=0).min())
+                     for b in np.array_split(th, 36))
+    assert value * r <= 0.5 * grid_width * (1 + 1e-12)
+
+
 def test_dini_summary_slopes(tmp_path):
     out = tmp_path / "dini.json"
     code = run_main([
@@ -165,6 +192,33 @@ def test_exit_code_2_on_config_errors(tmp_path):
     assert run_main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert run_main(["osc-scan", "--domain", "bogus:a=1", "--samples", "100"]) == 2
     assert run_main([]) == 2
+
+
+@pytest.mark.parametrize("seed, inside", [(0, 0), (2, 1)])
+def test_beta_scan_near_empty_ball_is_a_violated_invariant(tmp_path, capsys, seed, inside):
+    # one surface sample point: with seed 0 it misses the ball, with seed 2
+    # it is the only point in it; neither is a configuration error
+    out = tmp_path / "beta.json"
+    code = run_main([
+        "beta-scan", "--domain", "lift:phi0=abs,scale=0.5", "--samples", "1",
+        "--seed", str(seed), "--format", "json", "--out", str(out),
+    ])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["passed"] is False
+    assert payload["rows"] == []
+    err = capsys.readouterr().err
+    assert f"violated invariant: {inside} sample points in the ball" in err
+    assert "config error" not in err
+
+
+def test_exit_code_1_on_numerical_errors(capsys):
+    # the beta sample of the enlarged ball is one point outside it
+    code = run_main([
+        "osc-vs-beta", "--domain", "lift:phi0=abs,scale=0.5", "--samples", "1", "--seed", "0",
+    ])
+    assert code == 1
+    assert "numerical error: no sample points in the ball" in capsys.readouterr().err
 
 
 def test_riesz_test_experiment_small(tmp_path):

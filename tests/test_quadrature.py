@@ -102,6 +102,20 @@ def test_parallel_execution_bitwise_identical():
     assert serial == parallel  # dataclass equality: bit-for-bit values
 
 
+def test_stderr_unchanged_by_large_offset():
+    # a constant does not change the variance; rounding f + 1e8 moves each
+    # value by at most half an ulp of 1e8, and 16 ulp covers the reduction.
+    # Four chunks of uneven size, merged, match the one-pass sample variance.
+    ball = core.Ball(core.point(0.3, -0.2, 0.1), 0.5)
+    cfg = SampleConfig(n=3 * (1 << 16) + 1000, seed=0)
+    f = lambda p: p[:, 0] ** 2 + p[:, 2]
+    a = integrate_ball(f, ball, cfg)
+    b = integrate_ball(lambda p: f(p) + 1e8, ball, cfg)
+    assert abs(a.stderr - b.stderr) <= 16.0 * math.ulp(1e8) * ball.volume / math.sqrt(cfg.n)
+    vals = np.concatenate([f(chunk) for chunk in sample_ball(ball, cfg)])
+    assert a.stderr == pytest.approx(ball.volume * math.sqrt(np.var(vals, ddof=1) / len(vals)), rel=1e-12)
+
+
 def test_nonfinite_integrand_reports_point():
     def bad(p):
         v = np.ones(len(p))
