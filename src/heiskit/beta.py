@@ -50,6 +50,7 @@ class BetaResult:
     value: float
     plane: VerticalPlane
     p_exp: float  # math.inf for the sup-based number
+    n_in_ball: int  # sample points in the ball the plane was fitted to
 
 
 def _in_ball(sample: WeightedSample, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +176,7 @@ def beta_inf(sample: WeightedSample, ball: Ball) -> BetaResult:
     """Sup-based vertical beta number of the sampled set inside the ball (exact)."""
     pts, _ = _in_ball(sample, ball)
     theta, offset, half_width = _linf_plane(pts[:, :2])
-    return BetaResult(half_width / ball.radius, VerticalPlane(theta, offset), math.inf)
+    return BetaResult(half_width / ball.radius, VerticalPlane(theta, offset), math.inf, len(pts))
 
 
 def beta_p(
@@ -203,6 +204,7 @@ def beta_p(
     pts, w = _in_ball(sample, ball)
     if float(w.sum()) <= 0.0:
         raise ValueError("zero total weight in the ball")
+    n_in_ball = len(pts)
     pts, w = _thin(pts, w, max_points)
     r = ball.radius
     if p_exp == 2.0:
@@ -211,7 +213,7 @@ def beta_p(
         theta, offset, obj = _plane_search(pts[:, :2], w, p_exp, theta_nodes, refine)
     den = r**3 if normalization == "r3" else float(w.sum())
     value = (obj / (r**p_exp) / den) ** (1.0 / p_exp)
-    return BetaResult(value, VerticalPlane(theta, offset), p_exp)
+    return BetaResult(value, VerticalPlane(theta, offset), p_exp, n_in_ball)
 
 
 @dataclass(frozen=True)

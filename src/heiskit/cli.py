@@ -397,16 +397,24 @@ def _exp_osc_vs_beta(cfg: ExperimentConfig):
                "theta", "offset", "ratio", "n", "seed"]
     rows = []
     ratios = []
+    ok = True
+    failures = []
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
         comp = beta.osc_beta_compare(g, ball, scfg.child(k), beta_n=min(cfg.samples, 200_000))
+        inside = comp.beta1.n_in_ball
+        if inside < 3:
+            ok = False
+            failures.append(f"violated invariant: {inside} sample points in the ball of the beta fit "
+                            f"at r={r:g}, need 3")
+            continue
         rows.append((g.label, cx, cy, ct, r, comp.osc.value, comp.osc.stderr, comp.beta1.value,
                      comp.beta1.plane.theta, comp.beta1.plane.offset, comp.ratio,
                      cfg.samples, scfg.child(k).seed))
         if math.isfinite(comp.ratio):
             ratios.append(comp.ratio)
-    summary = {"max_ratio": max(ratios) if ratios else 0.0, "failures": []}
-    return columns, rows, summary, True
+    summary = {"max_ratio": max(ratios) if ratios else 0.0, "failures": failures}
+    return columns, rows, summary, ok
 
 
 def _exp_dini(cfg: ExperimentConfig):

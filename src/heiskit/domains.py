@@ -186,6 +186,15 @@ class Rect:
             and other.t1 <= self.t1
         )
 
+    def meets(self, other: "Rect") -> bool:
+        """Whether the two closed rectangles share a point."""
+        return (
+            self.y0 <= other.y1
+            and other.y0 <= self.y1
+            and self.t0 <= other.t1
+            and other.t0 <= self.t1
+        )
+
     def contains_w(self, w: np.ndarray) -> np.ndarray:
         """Membership mask for (..., 2) plane coordinates."""
         w = np.asarray(w, dtype=float)
@@ -305,7 +314,8 @@ def regularity_check(
     for r in radii:
         inside = sample.weights * (d <= r)
         total = float(inside.sum())
-        var = max(float((inside * inside).sum()) - total**2 / m, 0.0) / max(m - 1, 1)
+        inside -= total / m
+        var = float(np.einsum("i,i->", inside, inside)) / max(m - 1, 1)
         se_sum = math.sqrt(var * m)  # stderr of the weight sum, sum = m * mean
         out.append((r, total / r**3, se_sum / r**3))
     return out

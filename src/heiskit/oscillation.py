@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Ball, as_points
-from .quadrature import Estimate, SampleConfig, integrate_ball
+from .quadrature import Estimate, SampleConfig, _merge_moments, integrate_ball, sample_ball
 
 __all__ = [
     "ScaleGrid",
@@ -93,26 +93,26 @@ def perimeter_profile(
     correlated but each carries its own Monte-Carlo stderr.  Returns
     (s_nodes array, values, stderrs).
     """
-    from .quadrature import sample_ball  # chunked deterministic stream
-
     r = ball.radius
     mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
-    sums = np.zeros(s_nodes)
-    sqsums = np.zeros(s_nodes)
-    count = 0
-    # One pass over the shared chunk stream; chunks are consumed in their
-    # fixed order, so the profile is deterministic for a given config.
+    # One pass over the shared chunk stream; per-chunk (mean, M2, n) of every
+    # node are merged in the chunks' fixed order, so the profile is
+    # deterministic for a given config.
+    parts = []
     for pts in sample_ball(ball, cfg):
         base = omega.indicator(pts)
+        means = np.empty(s_nodes)
+        m2s = np.empty(s_nodes)
         for j, s in enumerate(mids):
             d = np.abs(base - omega.indicator(_vertical_shift(pts, s * s)))
-            sums[j] += d.sum()
-            sqsums[j] += (d * d).sum()
-        count += len(pts)
+            means[j] = d.mean()
+            d -= means[j]
+            m2s[j] = np.einsum("i,i->", d, d)
+        parts.append((means, m2s, len(pts)))
+    mean, m2, count = _merge_moments(parts)
 
     vol = ball.volume
-    mean = sums / count
-    var = np.maximum(sqsums - sums * sums / count, 0.0) / max(count - 1, 1)
+    var = m2 / max(count - 1, 1)
     values = vol * mean / r**4
     stderrs = vol * np.sqrt(var / count) / r**4
     if cfg.method == "stratified-grid":

@@ -181,8 +181,7 @@ def _reduce_uniform(
     """Evaluate f over chunks (possibly in parallel) and reduce in chunk order.
 
     Returns (mean, M2, n), M2 being the sum of squared deviations from the
-    mean.  Chunks are merged by the pairwise update of Chan, Golub and
-    LeVeque, which does not cancel when the mean is large against the spread.
+    mean, with the chunks merged by :func:`_merge_moments`.
     """
 
     def one(job: tuple[int, int]) -> tuple[float, float, int]:
@@ -206,12 +205,22 @@ def _reduce_uniform(
     else:
         parts = [one(c) for c in chunks]
 
+    return _merge_moments(parts)  # fixed order regardless of worker count
+
+
+def _merge_moments(parts: list[tuple]) -> tuple:
+    """Merge per-chunk (mean, M2, n) in list order into one (mean, M2, n).
+
+    The pairwise update of Chan, Golub and LeVeque does not cancel when the
+    mean is large against the spread; means and M2 may be arrays of
+    per-component moments sharing one n.
+    """
     mean, m2, n = parts[0]
-    for pmean, pm2, pn in parts[1:]:  # fixed order regardless of worker count
+    for pmean, pm2, pn in parts[1:]:
         delta = pmean - mean
         total = n + pn
-        mean += delta * pn / total
-        m2 += pm2 + delta * delta * n * pn / total
+        mean = mean + delta * pn / total
+        m2 = m2 + pm2 + delta * delta * n * pn / total
         n = total
     return mean, m2, n
 

@@ -353,25 +353,6 @@ def _truncation_weights(m: np.ndarray, eps: float, mode: str) -> np.ndarray:
     raise ValueError(f"unknown truncation mode {mode!r}")
 
 
-def _riesz_sum(
-    kernel_id: str, m: np.ndarray, tw: np.ndarray, fvals: np.ndarray, weights: np.ndarray
-) -> tuple[complex, float]:
-    """Weighted kernel sum with a Monte-Carlo stderr for the weighted mean."""
-    active = tw > 0.0
-    contrib = np.zeros(len(m), dtype=complex)
-    if np.any(active):
-        kern = eval_kernel(kernel_id, m[active])
-        contrib[active] = kern * tw[active] * np.asarray(fvals)[active] * weights[active]
-    n = len(contrib)
-    value = complex(contrib.sum())
-    if n < 2:
-        return value, 0.0
-    scaled = contrib * n  # per-sample estimator of the integral
-    se_re = float(np.std(scaled.real, ddof=1) / math.sqrt(n))
-    se_im = float(np.std(scaled.imag, ddof=1) / math.sqrt(n))
-    return value, math.hypot(se_re, se_im)
-
-
 def truncated_riesz(
     g: IntrinsicGraph,
     f: Callable[[np.ndarray], np.ndarray],
@@ -403,8 +384,9 @@ def truncated_riesz(
     m = mul(inv(sample.points), p)
     tw = _truncation_weights(m, eps, mode)
     fvals = np.asarray(f(sample.points))
-    value, _ = _riesz_sum("Kstar" if adjoint else "K", m, tw, fvals, sample.weights)
-    return value
+    active = (tw > 0.0) & (fvals != 0.0)
+    kern = eval_kernel("Kstar" if adjoint else "K", m[active])
+    return complex(np.sum(kern * tw[active] * fvals[active] * sample.weights[active]))
 
 
 @dataclass(frozen=True)
@@ -443,14 +425,25 @@ def testing_scan(
 ) -> TestingScan:
     """Table of smooth-truncated transforms of accretive ball bumps.
 
-    For each ball the test function is the interior bump times the unit
-    graph normal.  The surface quadrature is stratified in two pieces: a
-    coarse sample of the whole bump support (shared by all evaluation
-    points) and, per evaluation point, a fine sample of a small patch
-    around it that resolves the kernel down to the smallest truncation
-    scale.  The strata partition the parameter plane, so the combined sum
-    stays unbiased; without the fine stratum the small-eps columns would be
-    dominated by near-singularity sampling noise.
+    For each ball the test function f is the interior bump times the unit
+    graph normal.  The surface quadrature is stratified over the parameter
+    plane.  Around each evaluation point a geometric ladder of rectangle
+    patches, from patch_factor times the smallest truncation scale up to
+    twice the ball radius, resolves the kernel at every scale: stratum k
+    samples patch k minus patch k - 1, and a coarse sample of the ball's
+    rectangle, shared by all points, covers the rest of it.  The strata
+    partition the plane, so the combined sum stays unbiased; without the
+    ladder the small-eps columns would be dominated by near-singularity
+    sampling noise.
+
+    Each stratum stands for n samples, but only those where f and some
+    cutoff are non-zero reach the kernel, so the cost scales with the
+    samples that meet the bump.  f vanishes off the ball, whose rectangle
+    covers the vertical projections of its points, and a graph point
+    projects to its own parameter; so a patch disjoint from that rectangle
+    adds exactly 0 and is not drawn, while the other strata keep their own
+    seeded streams.  The zeros left out enter each stratum's stderr in
+    closed form.
     """
     rows: list[TestingScanRow] = []
     eps_grid = [float(e) for e in eps_grid]
@@ -459,15 +452,9 @@ def testing_scan(
     eps_floor = _SQRT2_4 * min(eps_grid)  # below this radius every cutoff vanishes
     for bi, ball in enumerate(balls):
         region = region_for_ball(ball)
-        coarse = surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi))
         psi = BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
-        f_coarse = bump(psi, coarse.points) * normal_nu(g, coarse.w)
+        coarse = _bump_samples(g, psi, surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi)))
         for pi, p in enumerate(pts):
-            # geometric ladder of refinement patches around the evaluation
-            # point; stratum k integrates over its rect minus the next finer
-            # rect, the coarse sample over the region minus the top rect, so
-            # the pieces partition the parameter plane and the kernel stays
-            # uniformly resolved from the smallest cutoff scale upwards
             tag = 1000 + 16 * (bi * len(pts) + pi)
             ladder = []
             r_k = rho
@@ -475,30 +462,25 @@ def testing_scan(
                 ladder.append(r_k)
                 r_k *= 2.0
             patches = [region_for_ball(Ball(p, r_k)) for r_k in ladder]
-            layers = []
-            for k, patch in enumerate(patches):
-                sample_k = surface_sample(g, patch, n, seed=_scan_seed(seed, tag + k))
-                mask = None if k == 0 else ~patches[k - 1].contains_w(sample_k.w)
-                layers.append((sample_k, bump(psi, sample_k.points) * normal_nu(g, sample_k.w), mask))
-            layers.append(
-                (coarse, f_coarse, ~patches[-1].contains_w(coarse.w) if patches else None)
-            )
+            # each stratum as its f != 0 samples and the rectangle it leaves out
+            layers = [
+                (_bump_samples(g, psi, surface_sample(g, patch, n, seed=_scan_seed(seed, tag + k))),
+                 patches[k - 1] if k else None)
+                for k, patch in enumerate(patches)
+                if patch.meets(region)
+            ]
+            layers.append((coarse, patches[-1] if patches else None))
             strata = []
-            spacings = []
-            for sample, fvals, mask in layers:
-                m = mul(inv(sample.points), p)
+            for (w, q, fw), hole in layers:
+                if hole is not None:
+                    keep = ~hole.contains_w(w)
+                    q, fw = q[keep], fw[keep]
+                m = mul(inv(q), p)
                 kor = koranyi_norm(m)
-                active = kor > eps_floor
-                if mask is not None:
-                    active &= mask
-                kern_k = np.zeros(len(m), dtype=complex)
-                kern_s = np.zeros(len(m), dtype=complex)
-                if np.any(active):
-                    kern_k[active] = eval_kernel("K", m[active])
-                    kern_s[active] = eval_kernel("Kstar", m[active])
-                base = np.where(active, fvals * sample.weights, 0.0)
-                strata.append((kor, kern_k * base, kern_s * base))
-                spacings.append(_spacing(sample))
+                near = kor > eps_floor
+                m, fw = m[near], fw[near]
+                strata.append((kor[near], eval_kernel("K", m) * fw, eval_kernel("Kstar", m) * fw))
+            spacings = [math.sqrt(rect.area / n) for rect in patches + [region]]
             for eps in eps_grid:
                 # the kernel annulus at this scale sits inside a patch iff
                 # the metric ball of radius 2*eps does
@@ -507,7 +489,7 @@ def testing_scan(
                     if 2.0 * eps <= r_k:
                         spacing = spacings[k]
                         break
-                if spacing is not None and spacing > eps / 4.0:
+                if spacing > eps / 4.0:
                     warnings.warn(
                         f"surface sample spacing {spacing:.3g} exceeds eps/4 = {eps / 4.0:.3g}",
                         SparseSampleWarning,
@@ -521,12 +503,12 @@ def testing_scan(
                     tw = _profile(spec, kor / eps)
                     ck = base_k * tw
                     cs = base_s * tw
-                    nn = len(ck)
-                    op += complex(ck.sum())
-                    adj += complex(cs.sum())
-                    if nn > 1:
-                        op_var += np.var(ck.real, ddof=1) * nn + np.var(ck.imag, ddof=1) * nn
-                        adj_var += np.var(cs.real, ddof=1) * nn + np.var(cs.imag, ddof=1) * nn
+                    sum_k = complex(ck.sum())
+                    sum_s = complex(cs.sum())
+                    op += sum_k
+                    adj += sum_s
+                    op_var += _stratum_var(ck, sum_k, n)
+                    adj_var += _stratum_var(cs, sum_s, n)
                 rows.append(
                     TestingScanRow(
                         ball_center=tuple(float(c) for c in ball.center),
@@ -540,6 +522,25 @@ def testing_scan(
                     )
                 )
     return TestingScan(rows=rows, n=n, seed=seed)
+
+
+def _bump_samples(g: IntrinsicGraph, psi: BumpSpec, sample: WeightedSample):
+    """(w, graph points, f * weight) at the samples where f = psi * nu is not 0."""
+    fvals = bump(psi, sample.points)
+    nz = fvals != 0.0
+    w = sample.w[nz]
+    return w, sample.points[nz], fvals[nz] * normal_nu(g, w) * sample.weights[nz]
+
+
+def _stratum_var(v: np.ndarray, total: complex, n: int) -> float:
+    """n times the summed real and imaginary sample variances of a stratum of
+    n values: v and n - len(v) zeros, total being the sum of v."""
+    if n < 2:
+        return 0.0
+    mu = total / n
+    d = (v - mu).view(float)  # interleaved real and imaginary parts
+    m2 = float(np.einsum("i,i->", d, d)) + (n - len(v)) * (mu.real**2 + mu.imag**2)
+    return m2 * n / (n - 1)
 
 
 def _scan_seed(seed: int, k: int) -> int:

@@ -111,6 +111,19 @@ def test_cli_determinism_and_parallel(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_riesz_test_identical_across_workers(tmp_path):
+    args = [
+        "riesz-test", "--domain", "lift:phi0=abs,scale=0.5", "--radii", "0.5,1",
+        "--samples", "20000", "--seed", "5", "--eps-grid", "2^-1..2^-4",
+    ]
+    outs = []
+    for workers in ("1", "4"):
+        outs.append(tmp_path / f"riesz-{workers}.csv")
+        with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": workers}):
+            assert run_main(args + ["--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_invariants_experiment(tmp_path):
     out = tmp_path / "inv.json"
     code = run_main(["invariants", "--seed", "1", "--format", "json", "--out", str(out)])
@@ -219,6 +232,23 @@ def test_exit_code_1_on_numerical_errors(capsys):
     ])
     assert code == 1
     assert "numerical error: no sample points in the ball" in capsys.readouterr().err
+
+
+def test_osc_vs_beta_single_point_fit_is_a_violated_invariant(tmp_path, capsys):
+    # with seed 1 the one beta sample point lies in the enlarged ball: a plane
+    # through it fits exactly, which is no evidence of flatness
+    out = tmp_path / "ovb.json"
+    code = run_main([
+        "osc-vs-beta", "--domain", "lift:phi0=abs,scale=0.5", "--samples", "1", "--seed", "1",
+        "--format", "json", "--out", str(out),
+    ])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["passed"] is False
+    assert payload["rows"] == []
+    err = capsys.readouterr().err
+    assert "violated invariant: 1 sample points in the ball" in err
+    assert "config error" not in err
 
 
 def test_riesz_test_experiment_small(tmp_path):

@@ -146,6 +146,17 @@ def test_regularity_flat_ratio_constant():
         assert abs(r1 - r2) <= 3 * math.hypot(e1, e2)
 
 
+def test_regularity_stderr_matches_one_pass():
+    g = domains.euclidean_lift("abs", scale=0.5)
+    p = core.point(0.1, 0.2, 0.0)
+    rows = domains.regularity_check(g, p, [0.25, 1.0], n=50_000, seed=4)
+    sample = domains.surface_sample(g, domains.region_for_ball(core.Ball(p, 1.0)), 50_000, 4)
+    d = core.dist(sample.points, p)
+    for r, _, se in rows:
+        inside = sample.weights * (d <= r)
+        assert se == pytest.approx(math.sqrt(np.var(inside, ddof=1) * len(d)) / r**3, rel=1e-12)
+
+
 def test_regularity_doubling_and_region_guard():
     g = domains.euclidean_lift("abs", scale=0.5)
     rows = domains.regularity_check(g, core.point(0, 0, 0), [0.5, 1.0], n=100_000, seed=3)

@@ -13,7 +13,7 @@ from heiskit.oscillation import (
     perimeter_profile,
     vertical_perimeter,
 )
-from heiskit.quadrature import SampleConfig, integrate_1d
+from heiskit.quadrature import SampleConfig, integrate_1d, sample_ball
 
 BALL = core.Ball(core.point(0, 0, 0), 1.0)
 SLAB = domains.slab(0.0)
@@ -104,6 +104,22 @@ def test_perimeter_profile_matches_single_scale():
     k = 3
     single = vertical_perimeter(SLAB, BALL, mids[k], SampleConfig(n=100_000, seed=77))
     assert abs(vals[k] - single.value / BALL.radius**4) <= 3 * math.hypot(errs[k], single.stderr)
+
+
+def test_perimeter_profile_moments_match_one_pass():
+    # three uneven chunks merged in order, against np.mean / np.std over the
+    # concatenated stream of the same nodes
+    dom = domains.vertical_holder(1.0, 0.5).domain()
+    cfg = SampleConfig(n=150_000, seed=5)
+    mids, vals, errs = perimeter_profile(dom, BALL, cfg, s_nodes=4)
+    pts = np.concatenate(list(sample_ball(BALL, cfg)))
+    base = dom.indicator(pts)
+    scale = BALL.volume / BALL.radius**4
+    for s, v, e in zip(mids, vals, errs):
+        d = np.abs(base - dom.indicator(pts + [0.0, 0.0, s * s]))
+        assert v == pytest.approx(scale * d.mean(), rel=1e-12)
+        assert e == pytest.approx(scale * np.std(d, ddof=1) / math.sqrt(len(d)), rel=1e-12)
+        assert v > 0.0
 
 
 def test_lp_vertical_perimeter():

@@ -266,3 +266,145 @@ def test_divergence_check_field_independent():
         res = riesz.divergence_check(g, V, SampleConfig(n=300_000, seed=20 + k))
         cs.append(res.c_hat)
     assert abs(cs[0] - cs[1]) / abs(cs[0]) <= 0.05
+
+
+def dense_testing_scan(g, balls, eps_grid, points, n, seed, patch_factor=8.0):
+    """Reference for testing_scan: every stratum is drawn and every sample
+    goes through the kernel, the cutoff and the variances, zeros included."""
+    rows = []
+    eps_grid = [float(e) for e in eps_grid]
+    pts = [core.as_points(p) for p in points]
+    rho = patch_factor * min(eps_grid)
+    eps_floor = 2.0**0.25 * min(eps_grid)
+    for bi, ball in enumerate(balls):
+        region = domains.region_for_ball(ball)
+        coarse = domains.surface_sample(g, region, n, seed=riesz._scan_seed(seed, 2 * bi))
+        psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
+        f_coarse = riesz.bump(psi, coarse.points) * domains.normal_nu(g, coarse.w)
+        for pi, p in enumerate(pts):
+            tag = 1000 + 16 * (bi * len(pts) + pi)
+            ladder = []
+            r_k = rho
+            while r_k < 2.0 * ball.radius:
+                ladder.append(r_k)
+                r_k *= 2.0
+            patches = [domains.region_for_ball(core.Ball(p, r_k)) for r_k in ladder]
+            layers = []
+            for k, patch in enumerate(patches):
+                sample_k = domains.surface_sample(g, patch, n, seed=riesz._scan_seed(seed, tag + k))
+                mask = None if k == 0 else ~patches[k - 1].contains_w(sample_k.w)
+                layers.append((sample_k, riesz.bump(psi, sample_k.points) * domains.normal_nu(g, sample_k.w), mask))
+            layers.append((coarse, f_coarse, ~patches[-1].contains_w(coarse.w) if patches else None))
+            strata = []
+            spacings = []
+            for sample, fvals, mask in layers:
+                m = core.mul(core.inv(sample.points), p)
+                kor = core.koranyi_norm(m)
+                active = kor > eps_floor
+                if mask is not None:
+                    active &= mask
+                kern_k = np.zeros(len(m), dtype=complex)
+                kern_s = np.zeros(len(m), dtype=complex)
+                if np.any(active):
+                    kern_k[active] = riesz.eval_kernel("K", m[active])
+                    kern_s[active] = riesz.eval_kernel("Kstar", m[active])
+                base = np.where(active, fvals * sample.weights, 0.0)
+                strata.append((kor, kern_k * base, kern_s * base))
+                spacings.append(math.sqrt(sample.region.area / sample.n))
+            for eps in eps_grid:
+                spacing = spacings[-1]
+                for k, r_k in enumerate(ladder):
+                    if 2.0 * eps <= r_k:
+                        spacing = spacings[k]
+                        break
+                if spacing > eps / 4.0:
+                    warnings.warn(
+                        f"surface sample spacing {spacing:.3g} exceeds eps/4 = {eps / 4.0:.3g}",
+                        riesz.SparseSampleWarning,
+                    )
+                spec = riesz.BumpSpec(radius=eps, kind="phi_eps_exterior")
+                op = adj = 0j
+                op_var = adj_var = 0.0
+                for kor, base_k, base_s in strata:
+                    tw = riesz._profile(spec, kor / eps)
+                    ck = base_k * tw
+                    cs = base_s * tw
+                    nn = len(ck)
+                    op += complex(ck.sum())
+                    adj += complex(cs.sum())
+                    if nn > 1:
+                        op_var += np.var(ck.real, ddof=1) * nn + np.var(ck.imag, ddof=1) * nn
+                        adj_var += np.var(cs.real, ddof=1) * nn + np.var(cs.imag, ddof=1) * nn
+                rows.append((eps, op, math.sqrt(op_var), adj, math.sqrt(adj_var)))
+    return rows
+
+
+def _scan_and_warnings(fn, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [str(w.message) for w in caught if issubclass(w.category, riesz.SparseSampleWarning)]
+
+
+def _lift_far_field_points(g):
+    # the riesz-test CLI grid: every point lies outside or at the edge of
+    # the bumps' supports, so most ladder patches miss them
+    w = np.array([(y, t) for t in np.linspace(-2.0, 2.0, 2) for y in np.linspace(-2.0, 2.0, 5)])
+    return domains.graph_map(g, w)
+
+
+def _edge_points(g, ball, top):
+    """Two graph points whose ladder patch of radius top only just meets the
+    ball's rectangle: one reaches from above into the rectangle's pad, where
+    the bump is 0, the other from the side into a thin slice of its support."""
+    region = domains.region_for_ball(ball)
+    unpadded = domains.region_for_ball(ball, pad=0.0)
+    cy, wt = 0.5 * (region.y0 + region.y1), 0.5 * (region.t0 + region.t1)
+    patch = lambda y, t: domains.region_for_ball(core.Ball(domains.graph_map(g, np.array([y, t])), top))
+    half = lambda y: 0.5 * (patch(y, 0.0).t1 - patch(y, 0.0).t0)
+    above = (cy, 0.5 * (region.t1 + unpadded.t1) + half(cy))
+    # the support's largest y, from a parameter grid over the rectangle
+    Y, T = np.meshgrid(np.linspace(region.y0, region.y1, 801), np.linspace(region.t0, region.t1, 801))
+    grid = np.stack((Y.ravel(), T.ravel()), -1)
+    psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius)
+    inside = grid[riesz.bump(psi, domains.graph_map(g, grid)) > 0.0]
+    side = (inside[:, 0].max() - 0.03 + 1.05 * top, wt)
+    assert patch(*above).meets(region) and patch(*above).t0 > unpadded.t1
+    side_patch = patch(*side)
+    assert np.any(side_patch.contains_w(inside))
+    assert region.y1 - side_patch.y0 < 0.1 * (side_patch.y1 - side_patch.y0)
+    return domains.graph_map(g, np.array([above, side]))
+
+
+@pytest.mark.parametrize("case", ["lift-far-field", "flat-centred", "edge-overlap", "sparse"])
+def test_testing_scan_matches_dense_reference(case):
+    eps_grid = [2.0**-k for k in range(1, 5)]
+    if case in ("lift-far-field", "sparse"):
+        g = domains.euclidean_lift("abs", scale=0.5)
+        balls = [core.Ball(core.point(0, 0, 0), r) for r in (0.5, 1.0, 2.0)]
+        points, seed = _lift_far_field_points(g), 11
+        # at 100 samples the spacing warnings fire, those of skipped strata too
+        n = 20_000 if case == "lift-far-field" else 100
+    elif case == "flat-centred":
+        g = domains.flat(0.0, 0.0)
+        p = domains.graph_map(g, np.array([[0.3, -0.2]]))[0]
+        balls = [core.Ball(p, r) for r in (0.5, 1.0)]
+        points, n, seed = [p], 30_000, 12
+    else:
+        # eps down to 1/16 makes the ladder 0.5, 1; the top patch has radius 1
+        g = domains.euclidean_lift("abs", scale=0.5)
+        ball = core.Ball(core.point(0.3, 0.2, 0.0), 1.0)
+        balls, n, seed = [ball], 40_000, 13
+        points = _edge_points(g, ball, 1.0)
+    scan, got_warn = _scan_and_warnings(riesz.testing_scan, g, balls, eps_grid, points, n=n, seed=seed)
+    ref, ref_warn = _scan_and_warnings(dense_testing_scan, g, balls, eps_grid, points, n, seed)
+    assert got_warn == ref_warn
+    assert bool(got_warn) == (case == "sparse")
+    assert len(scan.rows) == len(ref)
+    nonzero = 0
+    for row, (eps, op, op_se, adj, adj_se) in zip(scan.rows, ref):
+        assert row.eps == eps
+        for a, b in ((row.op, op), (row.adj, adj), (row.op_stderr, op_se), (row.adj_stderr, adj_se)):
+            assert abs(a - b) <= 1e-12 * abs(b), (case, eps, a, b)
+        nonzero += op != 0
+    assert nonzero > 0  # the comparison is not between two tables of zeros
