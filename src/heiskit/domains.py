@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .core import Ball, as_points, box_norm, dist, embed_vertical, inv, mul, proj_vertical
-from .quadrature import _mc_chunks
+from .quadrature import _map_chunks, _mc_chunks
 
 __all__ = [
     "DomainOracle",
@@ -28,7 +28,6 @@ __all__ = [
     "graph_map",
     "intrinsic_gradient",
     "normal_nu",
-    "normal_vector",
     "surface_sample",
     "region_for_ball",
     "regularity_check",
@@ -150,15 +149,13 @@ def normal_nu(g: IntrinsicGraph, w, h: float = 1e-5) -> np.ndarray:
 
     nu_1 = 1/sqrt(1 + grad^2), nu_2 = -grad/sqrt(1 + grad^2).
     """
-    grad = intrinsic_gradient(g, w, h)
+    return _area_and_normal(intrinsic_gradient(g, w, h))[1]
+
+
+def _area_and_normal(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(1 + grad^2), unit complex normal) from the intrinsic gradient."""
     den = np.sqrt(1.0 + grad * grad)
-    return (1.0 / den) + 1j * (-grad / den)
-
-
-def normal_vector(g: IntrinsicGraph, w, h: float = 1e-5) -> np.ndarray:
-    """Same normal as :func:`normal_nu` but as a real 2-vector field."""
-    nu = normal_nu(g, w, h)
-    return np.stack((nu.real, nu.imag), axis=-1)
+    return den, (1.0 / den) + 1j * (-grad / den)
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,8 @@ class WeightedSample:
     points are the graph points Phi(w_i); weights are
     sqrt(1 + grad(w_i)^2) * area(region) / n, so that sums of weights
     approximate the surface measure of the sampled patch up to one global
-    constant shared by all samples.
+    constant shared by all samples.  nu, when present, is the unit complex
+    normal :func:`normal_nu` at each point.
     """
 
     w: np.ndarray
@@ -241,6 +239,7 @@ class WeightedSample:
     weights: np.ndarray
     region: Optional[Rect]
     seed: int
+    nu: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -258,30 +257,27 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
     """Seeded uniform sample of the region, pushed to the graph with area weights.
 
     Chunked sub-streams keyed by (seed, chunk) keep the result byte-identical
-    regardless of how the chunks are scheduled.
+    regardless of how the chunks are scheduled.  The gradient behind each
+    weight also gives the sample's unit normal nu.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    ws, pts, wts = [], [], []
-    base = n  # weights use the requested count; chunking is an implementation detail
-    for i, size in _mc_chunks(n):
+
+    def draw(i: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, i])
         y = region.y0 + rng.random(size) * (region.y1 - region.y0)
         t = region.t0 + rng.random(size) * (region.t1 - region.t0)
-        w = np.stack((y, t), axis=-1)
-        grad = intrinsic_gradient(g, w)
-        ws.append(w)
-        pts.append(graph_map(g, w))
-        wts.append(np.sqrt(1.0 + grad * grad) * (region.area / base))
-    return WeightedSample(
-        w=np.concatenate(ws),
-        points=np.concatenate(pts),
-        weights=np.concatenate(wts),
-        region=region,
-        seed=seed,
-    )
+        return np.stack((y, t), axis=-1)
+
+    def push(w: np.ndarray) -> tuple[np.ndarray, ...]:
+        den, nu = _area_and_normal(intrinsic_gradient(g, w))
+        # weights use the requested count; chunking is an implementation detail
+        return w, graph_map(g, w), den * (region.area / n), nu
+
+    w, points, weights, nu = (np.concatenate(part) for part in zip(*_map_chunks(draw, _mc_chunks(n), push)))
+    return WeightedSample(w=w, points=points, weights=weights, region=region, seed=seed, nu=nu)
 
 
 def regularity_check(

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
+from typing import Iterator
 
 import numpy as np
 
 from .core import Ball, as_points
-from .quadrature import Estimate, SampleConfig, _merge_moments, integrate_ball, sample_ball
+from .quadrature import Estimate, SampleConfig, _ball_chunks, _map_chunks, _merge_moments, integrate_ball
 
 __all__ = [
     "ScaleGrid",
@@ -60,12 +60,15 @@ class ScaleGrid:
         return math.log(2.0) / self.per_octave
 
 
-def _vertical_shift(points: np.ndarray, s2: float) -> np.ndarray:
-    # p * (0, 0, s^2) = (x, y, t + s^2): right translation by a vertical
-    # element is a plain Euclidean shift in t.
-    out = points.copy()
-    out[:, 2] += s2
-    return out
+def _gaps(omega, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
+    """|chi(p) - chi(p * (0, 0, s^2))| at the points, for each node s in turn."""
+    base = omega.indicator(pts)
+    for s in mids:
+        # p * (0, 0, s^2) = (x, y, t + s^2): right translation by a vertical
+        # element is a plain Euclidean shift in t.
+        shifted = pts.copy()
+        shifted[:, 2] += s * s
+        yield np.abs(base - omega.indicator(shifted))
 
 
 def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Estimate:
@@ -76,12 +79,7 @@ def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Esti
     """
     if s <= 0.0:
         raise ValueError("shift scale must be positive")
-    s2 = s * s
-
-    def f(pts):
-        return np.abs(omega.indicator(pts) - omega.indicator(_vertical_shift(pts, s2)))
-
-    return integrate_ball(f, window, cfg)
+    return integrate_ball(lambda pts: next(_gaps(omega, pts, (s,))), window, cfg)
 
 
 def perimeter_profile(
@@ -95,21 +93,19 @@ def perimeter_profile(
     """
     r = ball.radius
     mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
-    # One pass over the shared chunk stream; per-chunk (mean, M2, n) of every
-    # node are merged in the chunks' fixed order, so the profile is
-    # deterministic for a given config.
-    parts = []
-    for pts in sample_ball(ball, cfg):
-        base = omega.indicator(pts)
+
+    # per-chunk (mean, M2, n) of every node, merged in the chunks' fixed
+    # order, so the profile is deterministic for a given config
+    def moments(pts):
         means = np.empty(s_nodes)
         m2s = np.empty(s_nodes)
-        for j, s in enumerate(mids):
-            d = np.abs(base - omega.indicator(_vertical_shift(pts, s * s)))
+        for j, d in enumerate(_gaps(omega, pts, mids)):
             means[j] = d.mean()
             d -= means[j]
             m2s[j] = np.einsum("i,i->", d, d)
-        parts.append((means, m2s, len(pts)))
-    mean, m2, count = _merge_moments(parts)
+        return means, m2s, len(pts)
+
+    mean, m2, count = _merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments))
 
     vol = ball.volume
     var = m2 / max(count - 1, 1)
@@ -132,14 +128,7 @@ def osc(omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32) -> Estimate:
     r = ball.radius
     mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
 
-    def f(pts):
-        base = omega.indicator(pts)
-        acc = np.zeros(len(pts))
-        for s in mids:
-            acc += np.abs(base - omega.indicator(_vertical_shift(pts, s * s)))
-        return acc / s_nodes
-
-    est = integrate_ball(f, ball, cfg)
+    est = integrate_ball(lambda pts: sum(_gaps(omega, pts, mids)) / s_nodes, ball, cfg)
     return Estimate(est.value / r**4, est.stderr / r**4, est.n)
 
 

@@ -5,16 +5,18 @@ SampleConfig).  Samples are generated in fixed-size chunks, chunk i drawing
 from an independent stream seeded by (seed, i), and partial results are
 reduced in chunk order.  Running chunks in parallel therefore reproduces the
 serial result bit for bit; the worker count comes from the HEISKIT_WORKERS
-environment variable (default 1).
+environment variable (default 1).  One chunk map owns that thread pool; it
+runs integrate_ball, integrate_box, oscillation.osc,
+oscillation.perimeter_profile and domains.surface_sample.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -24,10 +26,8 @@ __all__ = [
     "SampleConfig",
     "Estimate",
     "NonFiniteIntegrandError",
-    "sample_ball",
     "integrate_ball",
     "integrate_box",
-    "integrate_1d",
 ]
 
 CHUNK = 1 << 16
@@ -149,28 +149,69 @@ def _cylinder_grid(k: int, radius: float) -> np.ndarray:
     return np.stack((rad * np.cos(a.ravel()), rad * np.sin(a.ravel()), v.ravel()), axis=-1)
 
 
-def _ball_chunks(ball: Ball, cfg: SampleConfig) -> tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]:
+# (make_chunk, chunks): make_chunk(i, size) builds the nodes of chunk i
+_Chunks = tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]
+
+
+def _map_chunks(make_chunk: Callable[[int, int], object], chunks: list[tuple[int, int]], fn: Callable) -> list:
+    """fn(make_chunk(i, size)) for every chunk, in chunk order.
+
+    The chunks run on a pool of HEISKIT_WORKERS threads; each result depends
+    on its own chunk only, so the list is the same for every worker count.
+    """
+
+    def one(job: tuple[int, int]):
+        return fn(make_chunk(*job))
+
+    workers = _workers()
+    if workers > 1 and len(chunks) > 1:
+        with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, chunks))
+    return [one(c) for c in chunks]
+
+
+def _grid_chunks(grid: np.ndarray) -> _Chunks:
+    """(make_chunk, chunks) slicing a precomputed node grid."""
+    return (lambda i, size: grid[i * CHUNK : i * CHUNK + size]), _mc_chunks(len(grid))
+
+
+def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     """(make_chunk, chunks) of the ball's nodes, left-translated to its center.
 
     Left translations have unit Jacobian, so translating a uniform sample of
     B(0, r) by the center yields a uniform sample of B(center, r).
     """
     if cfg.method == "stratified-grid":
-        grid = _cylinder_grid(_grid_axes(cfg.n), ball.radius)
-        return (lambda i, size: mul(ball.center, grid[i * CHUNK : i * CHUNK + size])), _mc_chunks(len(grid))
+        local, chunks = _grid_chunks(_cylinder_grid(_grid_axes(cfg.n), ball.radius))
+    else:
+        def local(i: int, size: int) -> np.ndarray:
+            return _cylinder_chunk(np.random.default_rng([cfg.seed, i]), size, ball.radius)
+
+        chunks = _mc_chunks(cfg.n)
+    return (lambda i, size: mul(ball.center, local(i, size))), chunks
+
+
+def _box_chunks(lo: np.ndarray, span: np.ndarray, cfg: SampleConfig) -> _Chunks:
+    """(make_chunk, chunks) of uniform nodes in the box lo + [0, span]."""
+    if cfg.method == "stratified-grid":
+        k = _grid_axes(cfg.n)
+        mid = (np.arange(k) + 0.5) / k
+        g = np.stack([m.ravel() for m in np.meshgrid(mid, mid, mid, indexing="ij")], axis=-1)
+        return _grid_chunks(lo + g * span)
 
     def make(i: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([cfg.seed, i])
-        return mul(ball.center, _cylinder_chunk(rng, size, ball.radius))
+        return lo + rng.random((size, 3)) * span
 
     return make, _mc_chunks(cfg.n)
 
 
-def sample_ball(ball: Ball, cfg: SampleConfig) -> Iterator[np.ndarray]:
-    """Stream of point chunks, uniform on the ball."""
-    make, chunks = _ball_chunks(ball, cfg)
-    for i, size in chunks:
-        yield make(i, size)
+def _moments(vals: np.ndarray) -> tuple[float, float, int]:
+    """(mean, M2, n) of one array, M2 being the sum of squared deviations."""
+    mean = float(vals.mean())
+    dev = vals - mean
+    dev *= dev
+    return mean, float(dev.sum()), len(vals)
 
 
 def _reduce_uniform(
@@ -178,34 +219,18 @@ def _reduce_uniform(
     chunks: list[tuple[int, int]],
     f: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[float, float, int]:
-    """Evaluate f over chunks (possibly in parallel) and reduce in chunk order.
+    """(mean, M2, n) of f over the chunks, merged by :func:`_merge_moments`."""
 
-    Returns (mean, M2, n), M2 being the sum of squared deviations from the
-    mean, with the chunks merged by :func:`_merge_moments`.
-    """
-
-    def one(job: tuple[int, int]) -> tuple[float, float, int]:
-        i, size = job
-        pts = make_chunk(i, size)
+    def moments(pts: np.ndarray) -> tuple[float, float, int]:
         vals = np.asarray(f(pts), dtype=float)
         if vals.shape != (len(pts),):
             raise ValueError("integrand must map (m, 3) points to (m,) values")
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NonFiniteIntegrandError(pts[bad], float(vals[bad]))
-        mean = float(vals.mean())
-        dev = vals - mean
-        dev *= dev
-        return mean, float(dev.sum()), len(pts)
+        return _moments(vals)
 
-    workers = _workers()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, chunks))
-    else:
-        parts = [one(c) for c in chunks]
-
-    return _merge_moments(parts)  # fixed order regardless of worker count
+    return _merge_moments(_map_chunks(make_chunk, chunks, moments))
 
 
 def _merge_moments(parts: list[tuple]) -> tuple:
@@ -258,29 +283,5 @@ def integrate_box(
     lo = np.array([x0, y0, t0])
     span = np.array([x1 - x0, y1 - y0, t1 - t0])
     volume = float(np.prod(span))
-
-    if cfg.method == "stratified-grid":
-        k = _grid_axes(cfg.n)
-        mid = (np.arange(k) + 0.5) / k
-        g = np.stack([m.ravel() for m in np.meshgrid(mid, mid, mid, indexing="ij")], axis=-1)
-        grid = lo + g * span
-        chunks = _mc_chunks(len(grid))
-        make = lambda i, size: grid[i * CHUNK : i * CHUNK + size]
-        return _estimate_from_moments(*_reduce_uniform(make, chunks, f), volume, deterministic=True)
-
-    def make(i: int, size: int) -> np.ndarray:
-        rng = np.random.default_rng([cfg.seed, i])
-        return lo + rng.random((size, 3)) * span
-
-    return _estimate_from_moments(*_reduce_uniform(make, _mc_chunks(cfg.n), f), volume, deterministic=False)
-
-
-def integrate_1d(g: Callable[[np.ndarray], np.ndarray], a: float, b: float, nodes: int) -> float:
-    """Composite midpoint rule on [a, b]; exact for affine g, O(nodes^-2) for smooth g."""
-    if not (a < b):
-        raise ValueError("integration interval must satisfy a < b")
-    if nodes < 1:
-        raise ValueError("need at least one node")
-    h = (b - a) / nodes
-    x = a + (np.arange(nodes) + 0.5) * h
-    return float(np.sum(np.asarray(g(x), dtype=float)) * h)
+    deterministic = cfg.method == "stratified-grid"
+    return _estimate_from_moments(*_reduce_uniform(*_box_chunks(lo, span, cfg), f), volume, deterministic)

@@ -19,15 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Ball, as_points, box_norm, dilate, inv, koranyi_norm, mul, point
-from .domains import (
-    IntrinsicGraph,
-    WeightedSample,
-    normal_nu,
-    normal_vector,
-    region_for_ball,
-    surface_sample,
-)
-from .quadrature import Estimate, SampleConfig, integrate_box
+from .domains import IntrinsicGraph, WeightedSample, region_for_ball, surface_sample
+from .quadrature import Estimate, SampleConfig, _estimate_from_moments, _moments, integrate_box
 
 __all__ = [
     "KERNEL_DEGREES",
@@ -453,7 +446,7 @@ def testing_scan(
     for bi, ball in enumerate(balls):
         region = region_for_ball(ball)
         psi = BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
-        coarse = _bump_samples(g, psi, surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi)))
+        coarse = _bump_samples(psi, surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi)))
         for pi, p in enumerate(pts):
             tag = 1000 + 16 * (bi * len(pts) + pi)
             ladder = []
@@ -464,7 +457,7 @@ def testing_scan(
             patches = [region_for_ball(Ball(p, r_k)) for r_k in ladder]
             # each stratum as its f != 0 samples and the rectangle it leaves out
             layers = [
-                (_bump_samples(g, psi, surface_sample(g, patch, n, seed=_scan_seed(seed, tag + k))),
+                (_bump_samples(psi, surface_sample(g, patch, n, seed=_scan_seed(seed, tag + k))),
                  patches[k - 1] if k else None)
                 for k, patch in enumerate(patches)
                 if patch.meets(region)
@@ -524,12 +517,11 @@ def testing_scan(
     return TestingScan(rows=rows, n=n, seed=seed)
 
 
-def _bump_samples(g: IntrinsicGraph, psi: BumpSpec, sample: WeightedSample):
+def _bump_samples(psi: BumpSpec, sample: WeightedSample):
     """(w, graph points, f * weight) at the samples where f = psi * nu is not 0."""
     fvals = bump(psi, sample.points)
     nz = fvals != 0.0
-    w = sample.w[nz]
-    return w, sample.points[nz], fvals[nz] * normal_nu(g, w) * sample.weights[nz]
+    return sample.w[nz], sample.points[nz], fvals[nz] * sample.nu[nz] * sample.weights[nz]
 
 
 def _stratum_var(v: np.ndarray, total: complex, n: int) -> float:
@@ -613,13 +605,11 @@ def divergence_check(
 
     region = region_for_ball(V.support)
     sample = surface_sample(g, region, cfg.n, cfg.child(1).seed)
-    flux = np.sum(V(sample.points) * normal_vector(g, sample.w), axis=-1)
-    contrib = flux * sample.weights
-    total = float(contrib.sum())
-    scaled = contrib * sample.n
-    se = float(np.std(scaled, ddof=1) / math.sqrt(sample.n)) if sample.n > 1 else 0.0
-    rhs = Estimate(total, se, sample.n)
+    vals = V(sample.points)
+    flux = vals[:, 0] * sample.nu.real + vals[:, 1] * sample.nu.imag
+    # the weights carry area / n, so n times their mean flux is the estimate
+    rhs = _estimate_from_moments(*_moments(flux * sample.weights), sample.n, deterministic=False)
 
-    flagged = abs(total) < max(5.0 * se, 1e-12)
-    c_hat = math.nan if flagged else lhs.value / total
+    flagged = abs(rhs.value) < max(5.0 * rhs.stderr, 1e-12)
+    c_hat = math.nan if flagged else lhs.value / rhs.value
     return DivergenceCheck(lhs=lhs, rhs=rhs, c_hat=c_hat, flagged=flagged)

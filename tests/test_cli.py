@@ -100,15 +100,18 @@ def test_osc_scan_flat_zero_column(tmp_path, capsys):
 
 
 def test_cli_determinism_and_parallel(tmp_path):
+    # 150,000 samples make three chunks, so the pool runs and a chunk-order
+    # bug would show in the osc and profile columns
     args = [
         "osc-scan", "--domain", "holder:H=1,tau=0.5", "--radius", "1",
-        "--samples", "30000", "--seed", "5",
+        "--samples", "150000", "--seed", "5",
     ]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_main(args + ["--out", str(a)]) == 0
-    with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": "4"}):
-        assert run_main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    outs = []
+    for workers in ("1", "2", "4"):
+        outs.append(tmp_path / f"osc-{workers}.csv")
+        with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": workers}):
+            assert run_main(args + ["--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_riesz_test_identical_across_workers(tmp_path):

@@ -10,10 +10,10 @@ from heiskit.quadrature import (
     Estimate,
     NonFiniteIntegrandError,
     SampleConfig,
-    integrate_1d,
+    _ball_chunks,
+    _map_chunks,
     integrate_ball,
     integrate_box,
-    sample_ball,
 )
 
 BALL = core.Ball(core.point(0, 0, 0), 1.0)
@@ -21,7 +21,7 @@ CFG = SampleConfig(n=200_000, seed=11)
 
 
 def collect(ball, cfg):
-    return np.concatenate(list(sample_ball(ball, cfg)))
+    return np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda pts: pts))
 
 
 def test_sample_config_validation():
@@ -112,7 +112,7 @@ def test_stderr_unchanged_by_large_offset():
     a = integrate_ball(f, ball, cfg)
     b = integrate_ball(lambda p: f(p) + 1e8, ball, cfg)
     assert abs(a.stderr - b.stderr) <= 16.0 * math.ulp(1e8) * ball.volume / math.sqrt(cfg.n)
-    vals = np.concatenate([f(chunk) for chunk in sample_ball(ball, cfg)])
+    vals = f(collect(ball, cfg))
     assert a.stderr == pytest.approx(ball.volume * math.sqrt(np.var(vals, ddof=1) / len(vals)), rel=1e-12)
 
 
@@ -125,6 +125,11 @@ def test_nonfinite_integrand_reports_point():
     with pytest.raises(NonFiniteIntegrandError) as err:
         integrate_ball(bad, BALL, SampleConfig(n=10_000, seed=1))
     assert err.value.point[0] > 0.5
+    # raised on a pool thread, it still reaches the caller
+    with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": "4"}):
+        with pytest.raises(NonFiniteIntegrandError) as err:
+            integrate_ball(bad, BALL, SampleConfig(n=150_000, seed=1))
+    assert err.value.point[0] > 0.5
 
 
 def test_integrate_box():
@@ -135,15 +140,6 @@ def test_integrate_box():
     assert abs(est2.value - 4.0) <= 3 * est2.stderr
     with pytest.raises(ValueError):
         integrate_box(lambda p: np.ones(len(p)), ((1.0, 0.0), (0.0, 1.0), (0.0, 1.0)), CFG)
-
-
-def test_integrate_1d():
-    assert integrate_1d(lambda s: np.ones_like(s), 0.0, 1.0, 16) == pytest.approx(1.0)
-    assert integrate_1d(lambda s: s, 0.0, 1.0, 7) == pytest.approx(0.5)
-    val = integrate_1d(lambda s: np.minimum(s**2, 0.25) * math.pi, 0.0, 1.0, 1024)
-    assert val == pytest.approx(math.pi / 6, abs=1e-4)
-    with pytest.raises(ValueError):
-        integrate_1d(lambda s: s, 1.0, 0.0, 4)
 
 
 def test_estimate_validation():
