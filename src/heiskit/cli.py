@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, beta, core, domains, oscillation, riesz
-from .quadrature import NonFiniteIntegrandError, SampleConfig
+from .quadrature import NonFiniteIntegrandError, SampleConfig, _moments
 
 __all__ = [
     "ConfigError",
@@ -228,7 +228,7 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     slope, icept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + icept)
     ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    ss_tot = float(_moments(ys)[1])
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     return float(slope), r2
 
@@ -345,12 +345,10 @@ def _exp_osc_scan(cfg: ExperimentConfig):
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
         child = scfg.child(k)
-        mids, vals, errs = oscillation.perimeter_profile(dom, ball, child, s_nodes=16)
-        for s, v, e in zip(mids, vals, errs):
-            rows.append((dom.label, cx, cy, ct, r, float(s), float(v), float(e), child.n, child.seed))
-        est = oscillation.osc(dom, ball, child.child(1), s_nodes=16)
-        rows.append((dom.label, cx, cy, ct, r, None, est.value, est.stderr, est.n, child.child(1).seed))
-        if est.value > 0.5 * math.pi + 5 * est.stderr + 1e-12:
+        mids, est = oscillation._profile_pass(dom, ball, child, 16)
+        for s, v, e in zip([*mids, None], est.value, est.stderr):
+            rows.append((dom.label, cx, cy, ct, r, s, float(v), float(e), child.n, child.seed))
+        if est.value[-1] > 0.5 * math.pi + 5 * est.stderr[-1] + 1e-12:
             ok = False
             failures.append(f"violated invariant: oscillation upper bound at r={r:g}")
     summary = {"radii": list(_radii(cfg)), "failures": failures}

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .core import Ball, as_points, box_norm, dist, embed_vertical, inv, mul, proj_vertical
-from .quadrature import _map_chunks, _mc_chunks
+from .quadrature import _estimate_from_moments, _map_chunks, _mc_chunks, _moments
 
 __all__ = [
     "DomainOracle",
@@ -149,13 +149,18 @@ def normal_nu(g: IntrinsicGraph, w, h: float = 1e-5) -> np.ndarray:
 
     nu_1 = 1/sqrt(1 + grad^2), nu_2 = -grad/sqrt(1 + grad^2).
     """
-    return _area_and_normal(intrinsic_gradient(g, w, h))[1]
+    return _unit_normal(intrinsic_gradient(g, w, h))
 
 
-def _area_and_normal(grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(1 + grad^2), unit complex normal) from the intrinsic gradient."""
-    den = np.sqrt(1.0 + grad * grad)
-    return den, (1.0 / den) + 1j * (-grad / den)
+def _area_factor(grad: np.ndarray) -> np.ndarray:
+    """Area-formula density sqrt(1 + grad^2) of the intrinsic gradient."""
+    return np.sqrt(1.0 + grad * grad)
+
+
+def _unit_normal(grad: np.ndarray) -> np.ndarray:
+    """Unit complex normal (1 - i grad) / sqrt(1 + grad^2) from the intrinsic gradient."""
+    den = _area_factor(grad)
+    return (1.0 / den) + 1j * (-grad / den)
 
 
 @dataclass(frozen=True)
@@ -230,8 +235,9 @@ class WeightedSample:
     points are the graph points Phi(w_i); weights are
     sqrt(1 + grad(w_i)^2) * area(region) / n, so that sums of weights
     approximate the surface measure of the sampled patch up to one global
-    constant shared by all samples.  nu, when present, is the unit complex
-    normal :func:`normal_nu` at each point.
+    constant shared by all samples.  grad, when present, is the intrinsic
+    gradient behind each weight; callers that need the unit normal form it
+    from grad on the samples they use.
     """
 
     w: np.ndarray
@@ -239,7 +245,7 @@ class WeightedSample:
     weights: np.ndarray
     region: Optional[Rect]
     seed: int
-    nu: Optional[np.ndarray] = None
+    grad: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -258,7 +264,7 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
 
     Chunked sub-streams keyed by (seed, chunk) keep the result byte-identical
     regardless of how the chunks are scheduled.  The gradient behind each
-    weight also gives the sample's unit normal nu.
+    weight is kept, so the unit normal never needs it computed again.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -272,12 +278,12 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
         return np.stack((y, t), axis=-1)
 
     def push(w: np.ndarray) -> tuple[np.ndarray, ...]:
-        den, nu = _area_and_normal(intrinsic_gradient(g, w))
+        grad = intrinsic_gradient(g, w)
         # weights use the requested count; chunking is an implementation detail
-        return w, graph_map(g, w), den * (region.area / n), nu
+        return w, graph_map(g, w), _area_factor(grad) * (region.area / n), grad
 
-    w, points, weights, nu = (np.concatenate(part) for part in zip(*_map_chunks(draw, _mc_chunks(n), push)))
-    return WeightedSample(w=w, points=points, weights=weights, region=region, seed=seed, nu=nu)
+    w, points, weights, grad = (np.concatenate(part) for part in zip(*_map_chunks(draw, _mc_chunks(n), push)))
+    return WeightedSample(w=w, points=points, weights=weights, region=region, seed=seed, grad=grad)
 
 
 def regularity_check(
@@ -306,14 +312,10 @@ def regularity_check(
         raise ValueError("sampled region too small for the largest radius")
     out = []
     d = dist(sample.points, p)
-    m = sample.n
     for r in radii:
-        inside = sample.weights * (d <= r)
-        total = float(inside.sum())
-        inside -= total / m
-        var = float(np.einsum("i,i->", inside, inside)) / max(m - 1, 1)
-        se_sum = math.sqrt(var * m)  # stderr of the weight sum, sum = m * mean
-        out.append((r, total / r**3, se_sum / r**3))
+        # the weight sum is n times the mean weight, samples off the ball counting as zeros
+        est = _estimate_from_moments(*_moments(sample.weights[d <= r], sample.n), sample.n)
+        out.append((r, float(est.value) / r**3, float(est.stderr) / r**3))
     return out
 
 

@@ -5,7 +5,9 @@ the Lebesgue measure, within U, of the points whose membership in Omega
 changes under the vertical shift p -> p * (0, 0, s^2).  The oscillation
 coefficient of a ball averages the perimeter over shift scales s in (0, r]
 and normalises by r^4, which makes it invariant under left translations and
-dilations of the whole configuration.
+dilations of the whole configuration.  vertical_perimeter, perimeter_profile
+and osc read one pass over a ball sample that yields the gap moments at
+every shift node and at their per-point average.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import Ball, as_points
-from .quadrature import Estimate, SampleConfig, _ball_chunks, _map_chunks, _merge_moments, integrate_ball
+from .quadrature import Estimate, SampleConfig, _ball_chunks, _estimate_from_moments, _map_chunks
+from .quadrature import _merge_moments, _moments, integrate_ball
 
 __all__ = [
     "ScaleGrid",
@@ -71,6 +74,29 @@ def _gaps(omega, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
         yield np.abs(base - omega.indicator(shifted))
 
 
+def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
+    """v(ball)(s) at every node s and, last, their average over the nodes,
+    as arrays of correlated estimates from one pass over one ball sample."""
+
+    def moments(pts):
+        parts, total = [], 0
+        for d in _gaps(omega, pts, nodes):
+            parts.append(_moments(d))
+            total = total + d
+        means, m2s, _ = zip(*parts, _moments(total / len(nodes)))
+        return np.array(means), np.array(m2s), len(pts)
+
+    return _estimate_from_moments(*_merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments)), ball.volume)
+
+
+def _profile_pass(omega, ball: Ball, cfg: SampleConfig, s_nodes: int) -> tuple[np.ndarray, Estimate]:
+    """(midpoint nodes s_j in (0, r], v(ball)(s_j) / r^4 with osc appended last)."""
+    r = ball.radius
+    mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
+    est = _perimeters(omega, ball, mids, cfg)
+    return mids, Estimate(est.value / r**4, est.stderr / r**4, est.n)
+
+
 def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Estimate:
     """Measure in the window of {chi(p) != chi(p * (0, 0, s^2))}.
 
@@ -79,7 +105,8 @@ def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Esti
     """
     if s <= 0.0:
         raise ValueError("shift scale must be positive")
-    return integrate_ball(lambda pts: next(_gaps(omega, pts, (s,))), window, cfg)
+    est = _perimeters(omega, window, (s,), cfg)
+    return Estimate(float(est.value[0]), float(est.stderr[0]), est.n)
 
 
 def perimeter_profile(
@@ -91,45 +118,22 @@ def perimeter_profile(
     correlated but each carries its own Monte-Carlo stderr.  Returns
     (s_nodes array, values, stderrs).
     """
-    r = ball.radius
-    mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
-
-    # per-chunk (mean, M2, n) of every node, merged in the chunks' fixed
-    # order, so the profile is deterministic for a given config
-    def moments(pts):
-        means = np.empty(s_nodes)
-        m2s = np.empty(s_nodes)
-        for j, d in enumerate(_gaps(omega, pts, mids)):
-            means[j] = d.mean()
-            d -= means[j]
-            m2s[j] = np.einsum("i,i->", d, d)
-        return means, m2s, len(pts)
-
-    mean, m2, count = _merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments))
-
-    vol = ball.volume
-    var = m2 / max(count - 1, 1)
-    values = vol * mean / r**4
-    stderrs = vol * np.sqrt(var / count) / r**4
-    if cfg.method == "stratified-grid":
-        stderrs = np.zeros_like(stderrs)
-    return mids, values, stderrs
+    mids, est = _profile_pass(omega, ball, cfg, s_nodes)
+    return mids, est.value[:-1], est.stderr[:-1]
 
 
 def osc(omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32) -> Estimate:
     """Oscillation coefficient: average over s in (0, r] of v(ball)(s)/r^4.
 
     Midpoint nodes in s (the perimeter is bounded and continuous in s for
-    indicator oracles).  The estimate is bounded by pi/2 by construction,
-    since the integrand never exceeds the unit indicator difference.
+    indicator oracles); the stderr is that of the per-point node average.
+    The estimate is bounded by pi/2 by construction, since the integrand
+    never exceeds the unit indicator difference.
     """
     if s_nodes < 8:
         raise ValueError("need at least 8 scale nodes")
-    r = ball.radius
-    mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
-
-    est = integrate_ball(lambda pts: sum(_gaps(omega, pts, mids)) / s_nodes, ball, cfg)
-    return Estimate(est.value / r**4, est.stderr / r**4, est.n)
+    _, est = _profile_pass(omega, ball, cfg, s_nodes)
+    return Estimate(float(est.value[-1]), float(est.stderr[-1]), est.n)
 
 
 @dataclass(frozen=True)

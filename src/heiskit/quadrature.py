@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo and stratified-grid integration over metric balls and boxes.
+"""Seeded Monte-Carlo integration over metric balls and boxes.
 
 Determinism contract: every estimate is a pure function of (region, integrand,
 SampleConfig).  Samples are generated in fixed-size chunks, chunk i drawing
@@ -6,8 +6,9 @@ from an independent stream seeded by (seed, i), and partial results are
 reduced in chunk order.  Running chunks in parallel therefore reproduces the
 serial result bit for bit; the worker count comes from the HEISKIT_WORKERS
 environment variable (default 1).  One chunk map owns that thread pool; it
-runs integrate_ball, integrate_box, oscillation.osc,
-oscillation.perimeter_profile and domains.surface_sample.
+runs integrate_ball, integrate_box, the shifted-indicator pass of oscillation
+and domains.surface_sample.  Every mean and stderr in the package comes from
+one accumulator: _moments, _merge_moments and _estimate_from_moments.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -55,23 +56,18 @@ class NonFiniteIntegrandError(ValueError):
 class SampleConfig:
     """How to draw integration nodes.
 
-    n:      requested sample count (>= 1); stratified-grid mode rounds up
-            to the nearest cube.
-    seed:   non-negative integer; fully determines the node stream.
-    method: "monte-carlo" or "stratified-grid".
+    n:    sample count (>= 1).
+    seed: non-negative integer; fully determines the node stream.
     """
 
     n: int = 200_000
     seed: int = 0
-    method: str = "monte-carlo"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("sample count must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.method not in ("monte-carlo", "stratified-grid"):
-            raise ValueError(f"unknown sampling method {self.method!r}")
 
     def child(self, k: int) -> "SampleConfig":
         """Independent sub-stream config for the k-th nested estimate."""
@@ -82,9 +78,9 @@ class SampleConfig:
 class Estimate:
     """A numerical integral with its statistical error.
 
-    stderr is sample standard deviation of the integrand divided by sqrt(n)
-    (times the volume normalisation) in monte-carlo mode, and 0 for
-    deterministic grid evaluations.
+    stderr is the sample standard deviation of the integrand divided by
+    sqrt(n), times the volume normalisation.  Inside the package value and
+    stderr may also be arrays of per-component estimates sharing one n.
     """
 
     value: float
@@ -92,15 +88,16 @@ class Estimate:
     n: int
 
     def __post_init__(self):
-        if self.stderr < 0.0:
+        if np.any(np.less(self.stderr, 0.0)):
             raise ValueError("stderr must be >= 0")
 
 
 def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("HEISKIT_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """The HEISKIT_WORKERS thread count: a positive integer, 1 when unset."""
+    raw = os.environ.get("HEISKIT_WORKERS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"HEISKIT_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _mc_chunks(n: int) -> list[tuple[int, int]]:
@@ -132,23 +129,6 @@ def _cylinder_chunk(rng: np.random.Generator, m: int, radius: float) -> np.ndarr
     return np.stack((rad * np.cos(ang), rad * np.sin(ang), tt), axis=-1)
 
 
-def _grid_axes(n: int) -> int:
-    return max(1, math.ceil(round(n ** (1.0 / 3.0), 9)))
-
-
-def _cylinder_grid(k: int, radius: float) -> np.ndarray:
-    """Midpoint grid with k^3 nodes, equidistributed in ball measure.
-
-    The map (u, a, v) -> (r sqrt(u) cos a, r sqrt(u) sin a, v) pushes the
-    uniform measure on [0,1] x [0,2pi] x [-r^2/4, r^2/4] to the uniform
-    measure on the cylinder, so equal box cells get equal ball measure.
-    """
-    mid = (np.arange(k) + 0.5) / k
-    u, a, v = np.meshgrid(mid, mid * 2.0 * math.pi, (mid - 0.5) * 0.5 * radius**2, indexing="ij")
-    rad = radius * np.sqrt(u.ravel())
-    return np.stack((rad * np.cos(a.ravel()), rad * np.sin(a.ravel()), v.ravel()), axis=-1)
-
-
 # (make_chunk, chunks): make_chunk(i, size) builds the nodes of chunk i
 _Chunks = tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]
 
@@ -170,34 +150,21 @@ def _map_chunks(make_chunk: Callable[[int, int], object], chunks: list[tuple[int
     return [one(c) for c in chunks]
 
 
-def _grid_chunks(grid: np.ndarray) -> _Chunks:
-    """(make_chunk, chunks) slicing a precomputed node grid."""
-    return (lambda i, size: grid[i * CHUNK : i * CHUNK + size]), _mc_chunks(len(grid))
-
-
 def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     """(make_chunk, chunks) of the ball's nodes, left-translated to its center.
 
     Left translations have unit Jacobian, so translating a uniform sample of
     B(0, r) by the center yields a uniform sample of B(center, r).
     """
-    if cfg.method == "stratified-grid":
-        local, chunks = _grid_chunks(_cylinder_grid(_grid_axes(cfg.n), ball.radius))
-    else:
-        def local(i: int, size: int) -> np.ndarray:
-            return _cylinder_chunk(np.random.default_rng([cfg.seed, i]), size, ball.radius)
 
-        chunks = _mc_chunks(cfg.n)
-    return (lambda i, size: mul(ball.center, local(i, size))), chunks
+    def make(i: int, size: int) -> np.ndarray:
+        return mul(ball.center, _cylinder_chunk(np.random.default_rng([cfg.seed, i]), size, ball.radius))
+
+    return make, _mc_chunks(cfg.n)
 
 
 def _box_chunks(lo: np.ndarray, span: np.ndarray, cfg: SampleConfig) -> _Chunks:
     """(make_chunk, chunks) of uniform nodes in the box lo + [0, span]."""
-    if cfg.method == "stratified-grid":
-        k = _grid_axes(cfg.n)
-        mid = (np.arange(k) + 0.5) / k
-        g = np.stack([m.ravel() for m in np.meshgrid(mid, mid, mid, indexing="ij")], axis=-1)
-        return _grid_chunks(lo + g * span)
 
     def make(i: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([cfg.seed, i])
@@ -206,12 +173,22 @@ def _box_chunks(lo: np.ndarray, span: np.ndarray, cfg: SampleConfig) -> _Chunks:
     return make, _mc_chunks(cfg.n)
 
 
-def _moments(vals: np.ndarray) -> tuple[float, float, int]:
-    """(mean, M2, n) of one array, M2 being the sum of squared deviations."""
-    mean = float(vals.mean())
-    dev = vals - mean
+def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:
+    """(mean, M2, n) of the values along the last axis of vals.
+
+    M2 is the sum of squared deviations |v - mean|^2, so vals may be real or
+    complex; a leading axis of components gets one mean and one M2 each.  A
+    total count n >= vals.shape[-1] adds n - vals.shape[-1] values that are
+    exactly zero, without forming them.
+    """
+    zeros = 0 if n is None else n - vals.shape[-1]
+    n = vals.shape[-1] + zeros
+    mean = vals.sum(axis=-1) / n
+    dev = vals - np.expand_dims(mean, -1)
+    if np.iscomplexobj(dev):
+        dev = dev.view(float)  # interleaved real and imaginary parts
     dev *= dev
-    return mean, float(dev.sum()), len(vals)
+    return mean, dev.sum(axis=-1) + zeros * (mean.real**2 + mean.imag**2), n
 
 
 def _reduce_uniform(
@@ -250,10 +227,9 @@ def _merge_moments(parts: list[tuple]) -> tuple:
     return mean, m2, n
 
 
-def _estimate_from_moments(mean: float, m2: float, n: int, volume: float, deterministic: bool) -> Estimate:
-    if deterministic or n < 2:
-        return Estimate(volume * mean, 0.0, n)
-    return Estimate(volume * mean, volume * math.sqrt(m2 / (n - 1) / n), n)
+def _estimate_from_moments(mean, m2, n: int, volume: float) -> Estimate:
+    """volume * mean with stderr volume * sqrt(M2 / (n - 1) / n); one value has M2 = 0."""
+    return Estimate(volume * mean, volume * np.sqrt(m2 / max(n - 1, 1) / n), n)
 
 
 def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: SampleConfig) -> Estimate:
@@ -264,8 +240,7 @@ def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: Sampl
     exact volume (pi/2) r^4.  Non-finite integrand values abort with the
     offending point.
     """
-    deterministic = cfg.method == "stratified-grid"
-    return _estimate_from_moments(*_reduce_uniform(*_ball_chunks(ball, cfg), f), ball.volume, deterministic)
+    return _estimate_from_moments(*_reduce_uniform(*_ball_chunks(ball, cfg), f), ball.volume)
 
 
 def integrate_box(
@@ -283,5 +258,4 @@ def integrate_box(
     lo = np.array([x0, y0, t0])
     span = np.array([x1 - x0, y1 - y0, t1 - t0])
     volume = float(np.prod(span))
-    deterministic = cfg.method == "stratified-grid"
-    return _estimate_from_moments(*_reduce_uniform(*_box_chunks(lo, span, cfg), f), volume, deterministic)
+    return _estimate_from_moments(*_reduce_uniform(*_box_chunks(lo, span, cfg), f), volume)

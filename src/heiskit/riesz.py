@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Ball, as_points, box_norm, dilate, inv, koranyi_norm, mul, point
-from .domains import IntrinsicGraph, WeightedSample, region_for_ball, surface_sample
+from .domains import IntrinsicGraph, WeightedSample, _unit_normal, region_for_ball, surface_sample
 from .quadrature import Estimate, SampleConfig, _estimate_from_moments, _moments, integrate_box
 
 __all__ = [
@@ -79,6 +79,16 @@ def _parts(p):
     return x, y, t, z2, n4
 
 
+def _kernel_pair(p) -> tuple[np.ndarray, np.ndarray]:
+    """(K, Kstar = K(p^-1)) from shared terms: with A = 2 x z^2, B = 8 y t,
+    C = 2 y z^2, D = 8 x t, K = (B - A) + i (C + D) and Kstar = (A + B) + i (D - C),
+    both times koranyi^-6."""
+    x, y, t, z2, n4 = _parts(p)
+    a, b, c, d = 2.0 * x * z2, 8.0 * y * t, 2.0 * y * z2, 8.0 * x * t
+    m = n4**-1.5
+    return ((b - a) + 1j * (c + d)) * m, ((a + b) + 1j * (d - c)) * m
+
+
 def eval_kernel(kernel_id: str, p) -> np.ndarray:
     """Closed-form kernel evaluation; complex for K and Kstar, real otherwise.
 
@@ -89,15 +99,11 @@ def eval_kernel(kernel_id: str, p) -> np.ndarray:
     """
     if kernel_id not in KERNEL_DEGREES:
         raise KeyError(f"unknown kernel id {kernel_id!r}; known: {sorted(KERNEL_DEGREES)}")
+    if kernel_id in ("K", "Kstar"):
+        return _kernel_pair(p)[kernel_id == "Kstar"]
     x, y, t, z2, n4 = _parts(p)
     if kernel_id == "G":
         return n4**-0.5
-    if kernel_id == "K":
-        m = n4**-1.5
-        return ((-2.0 * x * z2 + 8.0 * y * t) + 1j * (2.0 * y * z2 + 8.0 * x * t)) * m
-    if kernel_id == "Kstar":
-        m = n4**-1.5
-        return ((2.0 * x * z2 + 8.0 * y * t) + 1j * (-2.0 * y * z2 + 8.0 * x * t)) * m
     if kernel_id == "XG":
         return (-2.0 * x * z2 + 8.0 * y * t) * n4**-1.5
     if kernel_id == "YG":
@@ -471,8 +477,8 @@ def testing_scan(
                 m = mul(inv(q), p)
                 kor = koranyi_norm(m)
                 near = kor > eps_floor
-                m, fw = m[near], fw[near]
-                strata.append((kor[near], eval_kernel("K", m) * fw, eval_kernel("Kstar", m) * fw))
+                # (K, Kstar) times f * weight, one row each
+                strata.append((kor[near], np.stack(_kernel_pair(m[near])) * fw[near]))
             spacings = [math.sqrt(rect.area / n) for rect in patches + [region]]
             for eps in eps_grid:
                 # the kernel annulus at this scale sits inside a patch iff
@@ -489,29 +495,22 @@ def testing_scan(
                         stacklevel=2,
                     )
                 spec = BumpSpec(radius=eps, kind="phi_eps_exterior")
-                op = 0.0 + 0.0j
-                adj = 0.0 + 0.0j
-                op_var = adj_var = 0.0
-                for kor, base_k, base_s in strata:
-                    tw = _profile(spec, kor / eps)
-                    ck = base_k * tw
-                    cs = base_s * tw
-                    sum_k = complex(ck.sum())
-                    sum_s = complex(cs.sum())
-                    op += sum_k
-                    adj += sum_s
-                    op_var += _stratum_var(ck, sum_k, n)
-                    adj_var += _stratum_var(cs, sum_s, n)
+                total, var = np.zeros(2, dtype=complex), np.zeros(2)  # (op, adj)
+                for kor, base in strata:
+                    terms = base * _profile(spec, kor / eps)
+                    total += terms.sum(axis=-1)
+                    # the stratum's sum is n times its mean, left-out samples being zeros
+                    var += _estimate_from_moments(*_moments(terms, n), n).stderr ** 2
                 rows.append(
                     TestingScanRow(
                         ball_center=tuple(float(c) for c in ball.center),
                         ball_radius=ball.radius,
                         eps=eps,
                         p=tuple(float(c) for c in p),
-                        op=op,
-                        op_stderr=math.sqrt(op_var),
-                        adj=adj,
-                        adj_stderr=math.sqrt(adj_var),
+                        op=complex(total[0]),
+                        op_stderr=math.sqrt(var[0]),
+                        adj=complex(total[1]),
+                        adj_stderr=math.sqrt(var[1]),
                     )
                 )
     return TestingScan(rows=rows, n=n, seed=seed)
@@ -521,18 +520,8 @@ def _bump_samples(psi: BumpSpec, sample: WeightedSample):
     """(w, graph points, f * weight) at the samples where f = psi * nu is not 0."""
     fvals = bump(psi, sample.points)
     nz = fvals != 0.0
-    return sample.w[nz], sample.points[nz], fvals[nz] * sample.nu[nz] * sample.weights[nz]
-
-
-def _stratum_var(v: np.ndarray, total: complex, n: int) -> float:
-    """n times the summed real and imaginary sample variances of a stratum of
-    n values: v and n - len(v) zeros, total being the sum of v."""
-    if n < 2:
-        return 0.0
-    mu = total / n
-    d = (v - mu).view(float)  # interleaved real and imaginary parts
-    m2 = float(np.einsum("i,i->", d, d)) + (n - len(v)) * (mu.real**2 + mu.imag**2)
-    return m2 * n / (n - 1)
+    nu = _unit_normal(sample.grad[nz])
+    return sample.w[nz], sample.points[nz], fvals[nz] * nu * sample.weights[nz]
 
 
 def _scan_seed(seed: int, k: int) -> int:
@@ -606,9 +595,11 @@ def divergence_check(
     region = region_for_ball(V.support)
     sample = surface_sample(g, region, cfg.n, cfg.child(1).seed)
     vals = V(sample.points)
-    flux = vals[:, 0] * sample.nu.real + vals[:, 1] * sample.nu.imag
-    # the weights carry area / n, so n times their mean flux is the estimate
-    rhs = _estimate_from_moments(*_moments(flux * sample.weights), sample.n, deterministic=False)
+    nz = np.any(vals != 0.0, axis=-1)  # the flux vanishes off the field's support
+    nu = _unit_normal(sample.grad[nz])
+    flux = (vals[nz, 0] * nu.real + vals[nz, 1] * nu.imag) * sample.weights[nz]
+    # the weights carry area / n, so n times the mean flux over all n samples is the estimate
+    rhs = _estimate_from_moments(*_moments(flux, sample.n), sample.n)
 
     flagged = abs(rhs.value) < max(5.0 * rhs.stderr, 1e-12)
     c_hat = math.nan if flagged else lhs.value / rhs.value

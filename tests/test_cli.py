@@ -114,6 +114,22 @@ def test_cli_determinism_and_parallel(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
+def test_osc_row_is_the_mean_of_its_profile(tmp_path):
+    out = tmp_path / "osc.csv"
+    assert run_main([
+        "osc-scan", "--domain", "holder:H=1,tau=0.5", "--radii", "0.5,2",
+        "--samples", "70000", "--seed", "4", "--out", str(out),
+    ]) == 0
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    assert len(rows) == 2 * 17
+    for k in range(2):
+        profile, row = rows[17 * k : 17 * k + 16], rows[17 * k + 16]
+        assert row["s"] == "" and all(r["s"] for r in profile)
+        mean = sum(float(r["estimate"]) for r in profile) / 16
+        assert float(row["estimate"]) == pytest.approx(mean, rel=1e-12)
+        assert {r["seed"] for r in profile} == {row["seed"]}
+
+
 def test_riesz_test_identical_across_workers(tmp_path):
     args = [
         "riesz-test", "--domain", "lift:phi0=abs,scale=0.5", "--radii", "0.5,1",
@@ -201,13 +217,17 @@ def test_config_file_execution(tmp_path):
     assert out.exists()
 
 
-def test_exit_code_2_on_config_errors(tmp_path):
+def test_exit_code_2_on_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[osc-scan]\nmystery = 1\n")
     assert run_main(["--config", str(bad)]) == 2
     assert run_main(["--config", str(tmp_path / "missing.cfg")]) == 2
     assert run_main(["osc-scan", "--domain", "bogus:a=1", "--samples", "100"]) == 2
     assert run_main([]) == 2
+    for raw in ("abc", "0"):
+        with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": raw}):
+            assert run_main(["osc-scan", "--domain", "slab:t>0", "--samples", "100"]) == 2
+        assert f"config error: HEISKIT_WORKERS must be a positive integer, got {raw!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed, inside", [(0, 0), (2, 1)])

@@ -104,17 +104,18 @@ def test_surface_sample_weights_and_determinism():
 
 
 def test_surface_sample_parallel_and_normals():
-    # three chunks: the pool must keep chunk order; nu is normal_nu of the
-    # same gradient, bit for bit, also on a masked subset
+    # three chunks: the pool must keep chunk order; the normal formed from
+    # the stored gradient on a masked subset is normal_nu there, bit for bit
     rect = domains.Rect(-1.0, 1.0, -0.5, 0.5)
     for g in (domains.euclidean_lift("sin", scale=0.5), domains.vertical_holder(1.0, 0.5)):
         serial = domains.surface_sample(g, rect, 150_000, seed=9)
         with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": "4"}):
             parallel = domains.surface_sample(g, rect, 150_000, seed=9)
-        for name in ("w", "points", "weights", "nu"):
+        for name in ("w", "points", "weights", "grad"):
             np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
         keep = serial.w[:, 0] > 0.3
-        np.testing.assert_array_equal(serial.nu[keep], domains.normal_nu(g, serial.w[keep]))
+        nu = domains._unit_normal(serial.grad[keep])
+        np.testing.assert_array_equal(nu, domains.normal_nu(g, serial.w[keep]))
 
 
 def test_surface_sample_additivity():

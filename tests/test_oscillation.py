@@ -106,6 +106,22 @@ def test_perimeter_profile_matches_single_scale():
     assert abs(vals[k] - single.value / BALL.radius**4) <= 3 * math.hypot(errs[k], single.stderr)
 
 
+def test_one_pass_serves_profile_osc_and_single_scale():
+    # on one config, osc is the mean of the profile and vertical_perimeter
+    # at a node is r^4 times the profile there
+    dom = domains.vertical_holder(1.0, 0.5).domain()
+    ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
+    cfg = SampleConfig(n=150_000, seed=6)
+    mids, vals, errs = perimeter_profile(dom, ball, cfg, s_nodes=16)
+    est = osc(dom, ball, cfg, s_nodes=16)
+    assert est.value == pytest.approx(vals.mean(), rel=1e-12)
+    assert 0.0 < est.stderr <= errs.max()
+    for j in (0, 7, 15):
+        single = vertical_perimeter(dom, ball, mids[j], cfg)
+        assert single.value == pytest.approx(ball.radius**4 * vals[j], rel=1e-12)
+        assert single.stderr == pytest.approx(ball.radius**4 * errs[j], rel=1e-12)
+
+
 def test_perimeter_profile_moments_match_one_pass():
     # three uneven chunks merged in order, against np.mean / np.std over the
     # concatenated stream of the same nodes

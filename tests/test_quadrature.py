@@ -11,7 +11,10 @@ from heiskit.quadrature import (
     NonFiniteIntegrandError,
     SampleConfig,
     _ball_chunks,
+    _estimate_from_moments,
     _map_chunks,
+    _moments,
+    _workers,
     integrate_ball,
     integrate_box,
 )
@@ -29,8 +32,6 @@ def test_sample_config_validation():
         SampleConfig(n=0)
     with pytest.raises(ValueError):
         SampleConfig(seed=-1)
-    with pytest.raises(ValueError):
-        SampleConfig(method="bogus")
 
 
 def test_child_streams_differ():
@@ -68,12 +69,6 @@ def test_volume_and_indicator_oracles():
 
     odd = integrate_ball(lambda p: p[:, 0] * np.abs(p[:, 1]), BALL, CFG)
     assert abs(odd.value) <= 3 * odd.stderr
-
-
-def test_grid_mode_exact_for_constants():
-    est = integrate_ball(lambda p: np.ones(len(p)), BALL, SampleConfig(n=50_000, method="stratified-grid"))
-    assert est.value == pytest.approx(math.pi / 2, rel=1e-12)
-    assert est.stderr == 0.0
 
 
 def test_translation_invariance_of_volume():
@@ -145,3 +140,44 @@ def test_integrate_box():
 def test_estimate_validation():
     with pytest.raises(ValueError):
         Estimate(1.0, -0.5, 10)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "components"])
+def test_moments_with_implicit_zeros(kind):
+    # m values and n - m zeros left out match the zero-padded array
+    rng = np.random.default_rng(3)
+    m, n = 1000, 4096
+    shape = (3, m) if kind == "components" else (m,)
+    vals = 5.0 + rng.standard_normal(shape)
+    if kind != "real":
+        vals = vals + 1j * (rng.standard_normal(shape) - 2.0)
+    padded = np.concatenate((vals, np.zeros(shape[:-1] + (n - m,), dtype=vals.dtype)), axis=-1)
+    mean, m2, count = _moments(vals, n)
+    ref_mean, ref_m2, ref_count = _moments(padded)
+    assert count == ref_count == n
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+    np.testing.assert_allclose(m2, ref_m2, rtol=1e-12)
+    # and the padded moments are the textbook ones
+    np.testing.assert_allclose(ref_mean, padded.mean(axis=-1), rtol=1e-12)
+    np.testing.assert_allclose(ref_m2, n * (padded.real.var(axis=-1) + padded.imag.var(axis=-1)), rtol=1e-12)
+    se = _estimate_from_moments(mean, m2, n, 2.0).stderr
+    np.testing.assert_allclose(se, 2.0 * np.sqrt(ref_m2 / (n - 1) / n), rtol=1e-12)
+
+
+def test_one_value_has_zero_stderr():
+    est = _estimate_from_moments(*_moments(np.array([2.5])), 3.0)
+    assert est.value == 7.5 and est.stderr == 0.0
+    est = _estimate_from_moments(*_moments(np.zeros(0), 1), 1.0)
+    assert est.value == 0.0 and est.stderr == 0.0
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
+def test_workers_variable_validated(raw):
+    with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": raw}):
+        with pytest.raises(ValueError, match="HEISKIT_WORKERS"):
+            _workers()
+    with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": "3"}):
+        assert _workers() == 3
+    with mock.patch.dict(os.environ):
+        os.environ.pop("HEISKIT_WORKERS", None)
+        assert _workers() == 1

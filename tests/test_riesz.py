@@ -44,6 +44,26 @@ def test_kernel_errors():
         riesz.eval_kernel("nope", core.point(1, 0, 0))
 
 
+def test_kernel_pair_matches_its_definitions():
+    p = random_points(2000)
+    k, ks = riesz._kernel_pair(p)
+
+    def close(a, b):
+        return np.max(np.abs(a - b) / np.abs(b)) <= 1e-15
+
+    assert close(k, riesz.eval_kernel("XG", p) - 1j * riesz.eval_kernel("YG", p))
+    assert close(ks, riesz._kernel_pair(core.inv(p))[0])
+    # eval_kernel reads the same pair, and the pair keeps the operand order
+    # of the separate closed forms, so the bits agree
+    np.testing.assert_array_equal(riesz.eval_kernel("K", p), k)
+    np.testing.assert_array_equal(riesz.eval_kernel("Kstar", p), ks)
+    x, y, t = p[:, 0], p[:, 1], p[:, 2]
+    z2 = x * x + y * y
+    m = (z2 * z2 + 16.0 * t * t) ** -1.5
+    np.testing.assert_array_equal(k, ((-2.0 * x * z2 + 8.0 * y * t) + 1j * (2.0 * y * z2 + 8.0 * x * t)) * m)
+    np.testing.assert_array_equal(ks, ((2.0 * x * z2 + 8.0 * y * t) + 1j * (-2.0 * y * z2 + 8.0 * x * t)) * m)
+
+
 def test_inversion_identity():
     for q in (core.point(1, 0, 0), core.point(0, 1, 1)):
         assert riesz.inversion_identity_residual(q) <= 1e-10
