@@ -41,6 +41,14 @@ __all__ = [
     "carleson_scan",
 ]
 
+# Comparison constant of the paper: a ball's oscillation and vertical
+# perimeter are majorised by beta numbers of the ball enlarged by this factor.
+_ENLARGEMENT = 24.0
+
+# Plane fits decimate larger in-ball samples to this many points.
+_MAX_FIT_POINTS = 30_000
+
+
 class EmptyBallError(ValueError):
     """A sample has no points inside the ball, so there is nothing to fit."""
 
@@ -186,7 +194,6 @@ def beta_p(
     normalization: str = "r3",
     theta_nodes: int = 180,
     refine: bool = True,
-    max_points: int = 30_000,
 ) -> BetaResult:
     """L^p vertical beta number over the weighted sample inside the ball.
 
@@ -205,7 +212,7 @@ def beta_p(
     if float(w.sum()) <= 0.0:
         raise ValueError("zero total weight in the ball")
     n_in_ball = len(pts)
-    pts, w = _thin(pts, w, max_points)
+    pts, w = _thin(pts, w, _MAX_FIT_POINTS)
     r = ball.radius
     if p_exp == 2.0:
         theta, offset, obj = _l2_plane(pts[:, :2], w)
@@ -227,18 +234,16 @@ def osc_beta_compare(
     g: IntrinsicGraph,
     ball: Ball,
     cfg: SampleConfig,
-    enlargement: float = 24.0,
-    s_nodes: int = 16,
     beta_n: int = 200_000,
 ) -> OscBetaComparison:
     """Oscillation of the ball against the L^1 beta number of the enlarged ball.
 
-    The enlargement factor defaults to the comparison constant 24 and is
-    configurable.  The ratio is defined as 0 when both quantities vanish
-    (flat configurations).
+    The ball is enlarged by the comparison constant 24 and the oscillation
+    uses 16 shift nodes.  The ratio is defined as 0 when both quantities
+    vanish (flat configurations).
     """
-    osc_est = osc(g, ball, cfg, s_nodes=s_nodes)
-    big = Ball(ball.center, enlargement * ball.radius)
+    osc_est = osc(g, ball, cfg, s_nodes=16)
+    big = Ball(ball.center, _ENLARGEMENT * ball.radius)
     sample = surface_sample(g, region_for_ball(big), beta_n, seed=cfg.child(7).seed)
     b1 = beta_p(sample, big, 1.0)
     if b1.value == 0.0:
@@ -264,7 +269,6 @@ def perimeter_beta_bound(
     p_exp: float,
     grid: ScaleGrid,
     cfg: SampleConfig,
-    enlargement: float = 24.0,
     n_outer: int = 12,
     beta_n: int = 100_000,
     inner_n: int = 20_000,
@@ -275,7 +279,7 @@ def perimeter_beta_bound(
     lhs integrates (v(window)(s)/s)^p over the scale grid.  rhs is
     R^3 plus the surface integral over the enlarged window of the inner
     logarithmic beta integral; the inner radii are the grid scales clipped
-    to the window radius, scaled up by the enlargement inside each beta
+    to the window radius, scaled up by the enlargement 24 inside each beta
     ball.  The outer surface integral is evaluated on a deterministic
     decimation of the sampled points.
     """
@@ -287,7 +291,7 @@ def perimeter_beta_bound(
     if len(inner_radii) == 0:
         raise ValueError("scale grid has no nodes at or below the window radius")
     # Unbiased surface quadrature over a decimation of the enlarged window
-    outer, weights = _outer_points(g, Ball(p0, enlargement * R), beta_n, cfg.child(11).seed, n_outer)
+    outer, weights = _outer_points(g, Ball(p0, _ENLARGEMENT * R), beta_n, cfg.child(11).seed, n_outer)
 
     beta_term = 0.0
     for j, q in enumerate(outer):
@@ -295,7 +299,7 @@ def perimeter_beta_bound(
         for k, r in enumerate(inner_radii):
             # Each beta ball gets its own local sample so that small scales
             # stay resolved; seeds are derived deterministically per (q, r).
-            bball = Ball(q, enlargement * r)
+            bball = Ball(q, _ENLARGEMENT * r)
             local = surface_sample(
                 g,
                 region_for_ball(bball),
@@ -324,7 +328,6 @@ class CarlesonScan:
     double_integral: float
     radii: np.ndarray
     n_outer: int
-    coefficient: str
 
 
 def carleson_scan(
@@ -333,28 +336,26 @@ def carleson_scan(
     R: float,
     p_exp: float,
     cfg: SampleConfig,
-    coefficient: str = "beta",
-    per_octave: int = 1,
     octaves: int = 6,
     n_outer: int = 12,
     outer_n: int = 100_000,
     inner_n: int = 20_000,
     theta_nodes: int = 60,
-    osc_nodes: int = 12,
 ) -> CarlesonScan:
     """Empirical packing ratio of a scale-square double integral against R^3.
 
-    coefficient "beta" integrates beta_1(B(q, r))^p over surface points q in
-    B(p0, R) and radii r in a geometric grid up to R; "osc" integrates the
-    oscillation coefficient of the super-graph instead.  Inner balls carry
-    their own local surface samples so that every octave stays resolved.
-    The scan reports the ratio only; no pass/fail judgement is attached,
-    since admissible exponents are an open matter.
+    Integrates beta_1(B(q, r))^p over surface points q in B(p0, R) and radii
+    r in a grid of one node per octave up to R.  Inner balls carry their own
+    local surface samples so that every octave stays resolved.  The scan
+    reports the ratio only; no pass/fail judgement is attached, since
+    admissible exponents are an open matter.  p < 1 raises ValueError.
     """
+    if not p_exp >= 1.0:
+        raise ValueError("p exponent must be >= 1")
     p0 = as_points(p0)
     R = float(R)
-    radii = ScaleGrid(R * 2.0**-octaves, R, per_octave).scales()
-    dlog = math.log(2.0) / per_octave
+    grid = ScaleGrid(R * 2.0**-octaves, R, 1)
+    radii = grid.scales()
 
     outer, weights = _outer_points(g, Ball(p0, R), outer_n, cfg.child(13).seed, n_outer)
 
@@ -362,16 +363,11 @@ def carleson_scan(
     for j, q in enumerate(outer):
         inner = 0.0
         for k, r in enumerate(radii):
-            child = cfg.child(1000 + j * len(radii) + k)
-            if coefficient == "beta":
-                bball = Ball(q, r)
-                local = surface_sample(g, region_for_ball(bball), inner_n, seed=child.seed)
-                val = beta_p(local, bball, 1.0, theta_nodes=theta_nodes, refine=False).value
-            elif coefficient == "osc":
-                val = osc(g, Ball(q, r), child, s_nodes=osc_nodes).value
-            else:
-                raise ValueError(f"unknown coefficient {coefficient!r}")
-            inner += val**p_exp * dlog
+            bball = Ball(q, r)
+            seed = cfg.child(1000 + j * len(radii) + k).seed
+            local = surface_sample(g, region_for_ball(bball), inner_n, seed=seed)
+            val = beta_p(local, bball, 1.0, theta_nodes=theta_nodes, refine=False).value
+            inner += val**p_exp * grid.dlog
         total += weights[j] * inner
 
     return CarlesonScan(
@@ -379,5 +375,4 @@ def carleson_scan(
         double_integral=total,
         radii=radii,
         n_outer=len(outer),
-        coefficient=coefficient,
     )

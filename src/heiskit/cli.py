@@ -3,9 +3,12 @@
 Every experiment is a pure function of its configuration: outputs (CSV or
 JSON) are byte-identical across reruns, including under parallel chunk
 execution.  Config files are flat key/value text with one section per
-experiment; unknown keys are rejected.  Exit codes: 0 success, 1 a built-in
-assertion failed or a numerical failure (a ball without sample points, a
-non-finite integrand, a kernel singularity), 2 configuration error.
+experiment; unknown keys are rejected.  Every setting is both a flag and a
+config key (the flag is the key with '-' for '_'), and both are read by one
+parser, so a run from flags and the same run from its config file have the
+same config hash.  Exit codes: 0 success, 1 a built-in assertion failed or
+a numerical failure (a ball without sample points, a non-finite integrand,
+a kernel singularity), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -35,18 +38,6 @@ __all__ = [
     "run",
     "main",
 ]
-
-EXPERIMENTS = (
-    "invariants",
-    "osc-scan",
-    "beta-scan",
-    "osc-vs-beta",
-    "dini",
-    "riesz-test",
-    "carleson",
-    "perimeter-beta",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -90,14 +81,14 @@ def _parse_list(text: str) -> tuple[float, ...]:
 def _parse_center(text: str) -> tuple[float, float, float]:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != 3:
-        raise ConfigError(f"center needs three coordinates, got {text!r}")
+        raise ConfigError(f"needs three coordinates, got {text!r}")
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
 def _parse_scales(text: str) -> tuple[float, float, int]:
     parts = text.replace(" ", "").split(":")
     if len(parts) != 3:
-        raise ConfigError(f"scales must look like smin:smax:per_octave, got {text!r}")
+        raise ConfigError(f"must look like smin:smax:per_octave, got {text!r}")
     smin, smax = _parse_number(parts[0]), _parse_number(parts[1])
     per = int(parts[2])
     if not (0 < smin < smax) or per < 1:
@@ -107,6 +98,23 @@ def _parse_scales(text: str) -> tuple[float, float, int]:
 
 def _fmt_floats(vals) -> str:
     return ",".join(repr(float(v)) for v in vals)
+
+
+# Every experiment setting, declared once: (config key, ExperimentConfig
+# field, text parser, canonical formatter, CLI metavar).
+_SETTINGS = (
+    ("domain", "domain", str.strip, str, "family:key=value,..."),
+    ("center", "center", _parse_center, _fmt_floats, "x,y,t"),
+    ("radius", "radius", float, repr, "r"),
+    ("radii", "radii", _parse_list, _fmt_floats, "a,b,... or a..b"),
+    ("samples", "samples", int, str, "n"),
+    ("seed", "seed", int, str, "n"),
+    ("scales", "scales", _parse_scales, lambda s: f"{s[0]!r}:{s[1]!r}:{s[2]}", "smin:smax:per_octave"),
+    ("p_exp", "p_exp", float, repr, "p"),
+    ("eps_grid", "eps_grid", _parse_list, _fmt_floats, "a,b,... or a..b"),
+    ("out", "out", str.strip, str, "path"),
+    ("format", "fmt", str.strip, str, "csv|json"),
+)
 
 
 @dataclass(frozen=True)
@@ -127,8 +135,8 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
+        if self.experiment not in _RUNNERS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; known: {tuple(_RUNNERS)}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.samples < 1 or self.seed < 0:
@@ -136,53 +144,26 @@ class ExperimentConfig:
 
     # -- canonical text form (lossless round trip) --------------------------
 
-    _KEYS = ("domain", "center", "radius", "radii", "samples", "seed",
-             "scales", "p_exp", "eps_grid", "out", "format")
-
     def to_text(self) -> str:
         lines = [f"[{self.experiment}]"]
-        lines.append(f"domain = {self.domain}")
-        lines.append(f"center = {_fmt_floats(self.center)}")
-        lines.append(f"radius = {self.radius!r}")
-        lines.append(f"radii = {_fmt_floats(self.radii)}")
-        lines.append(f"samples = {self.samples}")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"scales = {self.scales[0]!r}:{self.scales[1]!r}:{self.scales[2]}")
-        lines.append(f"p_exp = {self.p_exp!r}")
-        lines.append(f"eps_grid = {_fmt_floats(self.eps_grid)}")
-        lines.append(f"out = {self.out}")
-        lines.append(f"format = {self.fmt}")
+        lines += [f"{key} = {fmt(getattr(self, field))}" for key, field, _, fmt, _ in _SETTINGS]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_section(cls, name: str, section) -> "ExperimentConfig":
-        unknown = set(section) - set(cls._KEYS)
+        """The config of experiment `name` from raw text values by key; the
+        settings left out keep their defaults."""
+        unknown = set(section) - {key for key, *_ in _SETTINGS}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)} in [{name}]")
-        kwargs = {"experiment": name}
-        if "domain" in section:
-            kwargs["domain"] = section["domain"].strip()
-        if "center" in section:
-            kwargs["center"] = _parse_center(section["center"])
-        if "radius" in section:
-            kwargs["radius"] = float(section["radius"])
-        if "radii" in section:
-            kwargs["radii"] = _parse_list(section["radii"])
-        if "samples" in section:
-            kwargs["samples"] = int(section["samples"])
-        if "seed" in section:
-            kwargs["seed"] = int(section["seed"])
-        if "scales" in section:
-            kwargs["scales"] = _parse_scales(section["scales"])
-        if "p_exp" in section:
-            kwargs["p_exp"] = float(section["p_exp"])
-        if "eps_grid" in section:
-            kwargs["eps_grid"] = _parse_list(section["eps_grid"])
-        if "out" in section:
-            kwargs["out"] = section["out"].strip()
-        if "format" in section:
-            kwargs["fmt"] = section["format"].strip()
-        return cls(**kwargs)
+        kwargs = {}
+        for key, field, parse, _, _ in _SETTINGS:
+            if key in section:
+                try:
+                    kwargs[field] = parse(section[key])
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
+        return cls(name, **kwargs)
 
     @property
     def config_hash(self) -> str:
@@ -483,7 +464,7 @@ def _exp_carleson(cfg: ExperimentConfig):
     rows = []
     for k, R in enumerate(_radii(cfg)):
         scan = beta.carleson_scan(g, core.point(*cfg.center), R, cfg.p_exp, scfg.child(k))
-        rows.append((g.label, R, cfg.p_exp, scan.coefficient, scan.ratio, cfg.samples, cfg.seed))
+        rows.append((g.label, R, cfg.p_exp, "beta", scan.ratio, cfg.samples, cfg.seed))
     summary = {"ratios": [r[4] for r in rows], "failures": []}
     return columns, rows, summary, True
 
@@ -573,11 +554,7 @@ def render_json(cfg: ExperimentConfig, columns, rows, summary) -> str:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes the artifact and prints a summary line."""
-    try:
-        runner = _RUNNERS[cfg.experiment]
-    except KeyError:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
-    columns, rows, summary, ok = runner(cfg)
+    columns, rows, summary, ok = _RUNNERS[cfg.experiment](cfg)
     summary = dict(summary)
     summary["passed"] = bool(ok)
     if cfg.fmt == "csv":
@@ -601,19 +578,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heiskit", description=__doc__)
     parser.add_argument("--config", help="run every experiment section of a config file")
     sub = parser.add_subparsers(dest="experiment")
-    for name in EXPERIMENTS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--domain", default="flat:theta=0,offset=0")
-        p.add_argument("--center", default="0,0,0", metavar="x,y,t")
-        p.add_argument("--radius", type=float, default=1.0)
-        p.add_argument("--radii", default="", help="comma list or octave range a..b")
-        p.add_argument("--samples", type=int, default=200_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--scales", default="0.0625:4:2", metavar="smin:smax:per_octave")
-        p.add_argument("--p-exp", type=float, default=1.0, dest="p_exp")
-        p.add_argument("--eps-grid", default="2^-1..2^-6", dest="eps_grid")
-        p.add_argument("--out", default="")
-        p.add_argument("--format", default="csv", choices=("csv", "json"), dest="fmt")
+        for key, _, _, _, metavar in _SETTINGS:
+            p.add_argument("--" + key.replace("_", "-"), metavar=metavar)
     return parser
 
 
@@ -628,21 +596,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.experiment:
             parser.print_help(sys.stderr)
             return 2
-        cfg = ExperimentConfig(
-            experiment=args.experiment,
-            domain=args.domain,
-            center=_parse_center(args.center),
-            radius=args.radius,
-            radii=_parse_list(args.radii),
-            samples=args.samples,
-            seed=args.seed,
-            scales=_parse_scales(args.scales),
-            p_exp=args.p_exp,
-            eps_grid=_parse_list(args.eps_grid),
-            out=args.out,
-            fmt=args.fmt,
-        )
-        return run(cfg)
+        given = {key: getattr(args, key) for key, *_ in _SETTINGS if getattr(args, key) is not None}
+        return run(ExperimentConfig.from_section(args.experiment, given))
     except (beta.EmptyBallError, NonFiniteIntegrandError, riesz.SingularityError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 1

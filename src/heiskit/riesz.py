@@ -302,7 +302,7 @@ def bump_dt(spec: BumpSpec, p) -> np.ndarray:
     return du * 8.0 * mt / (u_safe**3 * spec.radius**2)
 
 
-def bump_dt_sup(spec: BumpSpec, grid: int = 20_001) -> float:
+def bump_dt_sup(spec: BumpSpec) -> float:
     """Tight upper bound for sup |dt bump|.
 
     On the shell, |dt bump| = |P'(u)| 8 |m_t| / (u^3 r^2) and |m_t| <= u^2/4
@@ -310,19 +310,19 @@ def bump_dt_sup(spec: BumpSpec, grid: int = 20_001) -> float:
     the 1-d maximum is resolved on a fine grid.
     """
     a, b = spec._edges
-    u = np.linspace(a, b, grid)
+    u = np.linspace(a, b, 20_001)
     vals = 2.0 * np.abs(_profile_d(spec, u)) / u
     return float(vals.max() / spec.radius**2)
 
 
-def annulus_piece(j: int, p, base_eps: float = 1.0) -> np.ndarray:
+def annulus_piece(j: int, p) -> np.ndarray:
     """Dyadic shell piece: exterior cutoff at scale 2^-j minus the one at 2^-j+1.
 
     Summing pieces for j <= N telescopes to the exterior cutoff at 2^-N;
     each piece is supported on the annulus between the metric balls of radii
     2^-j and 2^-j+2.
     """
-    eps_j = base_eps * 2.0 ** (-j)
+    eps_j = 2.0 ** (-j)
     small = BumpSpec(radius=eps_j, kind="phi_eps_exterior")
     big = BumpSpec(radius=2.0 * eps_j, kind="phi_eps_exterior")
     return bump(small, p) - bump(big, p)
@@ -413,6 +413,10 @@ class TestingScan:
         return float(np.median([abs(r.adj if adjoint else r.op) for r in self.rows]))
 
 
+# The innermost ladder patch is this many times the smallest truncation scale.
+_PATCH_FACTOR = 8.0
+
+
 def testing_scan(
     g: IntrinsicGraph,
     balls: Sequence[Ball],
@@ -420,14 +424,13 @@ def testing_scan(
     points: Sequence,
     n: int = 400_000,
     seed: int = 0,
-    patch_factor: float = 8.0,
 ) -> TestingScan:
     """Table of smooth-truncated transforms of accretive ball bumps.
 
     For each ball the test function f is the interior bump times the unit
     graph normal.  The surface quadrature is stratified over the parameter
     plane.  Around each evaluation point a geometric ladder of rectangle
-    patches, from patch_factor times the smallest truncation scale up to
+    patches, from 8 times the smallest truncation scale up to
     twice the ball radius, resolves the kernel at every scale: stratum k
     samples patch k minus patch k - 1, and a coarse sample of the ball's
     rectangle, shared by all points, covers the rest of it.  The strata
@@ -442,12 +445,15 @@ def testing_scan(
     projects to its own parameter; so a patch disjoint from that rectangle
     adds exactly 0 and is not drawn, while the other strata keep their own
     seeded streams.  The zeros left out enter each stratum's stderr in
-    closed form.
+    closed form.  An empty eps grid, or an eps <= 0, raises ValueError.
     """
     rows: list[TestingScanRow] = []
     eps_grid = [float(e) for e in eps_grid]
+    # the ladder doubles from a multiple of the smallest eps, so it must be > 0
+    if not eps_grid or not all(e > 0.0 for e in eps_grid):
+        raise ValueError(f"eps grid must be non-empty with every eps > 0, got {eps_grid}")
     pts = [as_points(p) for p in points]
-    rho = patch_factor * min(eps_grid)
+    rho = _PATCH_FACTOR * min(eps_grid)
     eps_floor = _SQRT2_4 * min(eps_grid)  # below this radius every cutoff vanishes
     for bi, ball in enumerate(balls):
         region = region_for_ball(ball)
@@ -575,7 +581,6 @@ def divergence_check(
     g: IntrinsicGraph,
     V: VectorField,
     cfg: SampleConfig,
-    fd_step: float = 1e-4,
 ) -> DivergenceCheck:
     """Ratio estimate of -int_Omega div V dp against the graph flux of V.
 
@@ -587,7 +592,7 @@ def divergence_check(
     """
 
     def integrand(pts):
-        return g.indicator(pts) * horizontal_divergence(V, pts, fd_step)
+        return g.indicator(pts) * horizontal_divergence(V, pts)
 
     lhs_raw = integrate_box(integrand, V.support_box(), cfg)
     lhs = Estimate(-lhs_raw.value, lhs_raw.stderr, lhs_raw.n)

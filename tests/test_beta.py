@@ -357,6 +357,15 @@ def test_carleson_scan_flat_and_translation():
     assert base.ratio > 0
 
 
+@pytest.mark.parametrize("p_exp", [0.0, -1.0])
+def test_carleson_scan_rejects_p_below_one(p_exp):
+    # on the flat graph every beta number is 0: 0^0 = 1 would report a
+    # ratio, 0^-1 would divide by zero
+    with pytest.raises(ValueError, match="p exponent must be >= 1"):
+        beta.carleson_scan(domains.flat(0.0, 0.0), core.point(0, 0, 0), 1.0, p_exp,
+                           SampleConfig(n=1000, seed=0))
+
+
 def test_carleson_scan_lift_stable_across_window():
     # the lift profile is a cone, so the packing ratio is window-independent
     g = domains.euclidean_lift("abs", scale=0.5)

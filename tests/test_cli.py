@@ -58,6 +58,82 @@ def test_config_unknown_keys_rejected():
         cli.ExperimentConfig(experiment="dini", fmt="yaml")
 
 
+# The benchmark's command lines at seed 1001 (perfbench/workloads.py), plus
+# an osc-vs-beta run and a spaced centre, each with its pinned config hash:
+# outputs carry the hash, so a rerun must reproduce it.
+_LIFT, _HOLDER, _FLAT, _SLAB = "lift:phi0=abs,scale=0.5", "holder:H=1,tau=0.5", "flat:theta=0,offset=0", "slab:t>0"
+_OSC = ["--samples", "100000", "--seed", "1001"]
+_BETA = ["beta-scan", "--p-exp", "1", "--samples", "30000", "--seed", "1001"]
+PINNED_ARGV = [
+    (["osc-scan", "--domain", _SLAB, "--radii", "2^-3..2^3", *_OSC], "ea2fba1499fd"),
+    (["osc-scan", "--domain", _HOLDER, "--radii", "2^-3..2^3", *_OSC], "c15c2500f613"),
+    (["osc-scan", "--domain", _FLAT, "--radius", "1", *_OSC], "899c12adc886"),
+    (["dini", "--domain", _SLAB, "--scales", "2^-3:2^3:1", *_OSC, "--format", "json"], "d769422c8335"),
+    (["dini", "--domain", _HOLDER, "--scales", "2^-3:2^3:1", *_OSC, "--format", "json"], "292fd0d6091b"),
+    ([*_BETA, "--domain", _LIFT, "--radii", "0.5,1,2"], "275071f82512"),
+    ([*_BETA, "--domain", _FLAT, "--radius", "1"], "c4620ec24875"),
+    (["perimeter-beta", "--domain", _HOLDER, "--scales", "2^-3:2^1:1", *_OSC, "--format", "json"], "4fac93ddba8e"),
+    (["carleson", "--domain", _LIFT, "--radius", "1", "--p-exp", "4", *_OSC], "a258a088d254"),
+    (["riesz-test", "--domain", _LIFT, "--radii", "0.5,1,2", "--samples", "50000", "--seed", "1001"], "fc4773282d17"),
+    (["invariants", "--seed", "1001"], "bcbec06b5c14"),
+    (["osc-vs-beta", "--domain", _LIFT, "--radius", "0.25", *_OSC], "7d6c2a56ce12"),
+    (["osc-scan", "--center", " 0.1, 0,0", "--samples", "20000", "--seed", "1001"], "42286f5afcac"),
+]
+
+
+def config_of(argv):
+    """The ExperimentConfig that main builds from argv, without running it."""
+    with mock.patch.object(cli, "run", return_value=0) as run:
+        assert cli.main(argv) == 0
+    return run.call_args.args[0]
+
+
+@pytest.mark.parametrize("argv, pinned", PINNED_ARGV, ids=[h for _, h in PINNED_ARGV])
+def test_argv_config_round_trips_with_pinned_hash(argv, pinned):
+    cfg = config_of(argv)
+    assert cli.configs_from_text(cfg.to_text()) == [cfg]
+    assert cfg.config_hash == pinned
+
+
+def test_bare_experiment_takes_the_dataclass_defaults():
+    assert config_of(["osc-scan"]) == cli.ExperimentConfig("osc-scan")
+
+
+def test_bad_values_name_their_key(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("[osc-scan]\nsamples = abc\n")
+    for argv in (["osc-scan", "--samples", "abc"], ["--config", str(cfg_file)]):
+        assert cli.main(argv) == 2
+        assert "config error: samples: " in capsys.readouterr().err
+    # no argparse choices: a bad format is a config error, not a SystemExit
+    assert cli.main(["osc-scan", "--format", "xml"]) == 2
+    assert "config error: format must be csv or json" in capsys.readouterr().err
+
+
+def test_every_setting_is_a_flag_of_every_experiment():
+    parser = cli._build_parser()
+    for name in cli._RUNNERS:
+        for key, *_ in cli._SETTINGS:
+            args = parser.parse_args([name, "--" + key.replace("_", "-"), "text"])
+            assert getattr(args, key) == "text"
+
+
+@pytest.mark.parametrize("argv", [
+    ["riesz-test", "--eps-grid", "0"],
+    ["riesz-test", "--eps-grid=-0.5"],
+    ["carleson", "--radius", "1", "--p-exp", "0"],
+    ["carleson", "--radius", "1", "--p-exp", "-1"],
+])
+def test_out_of_range_scan_settings_exit_2_before_sampling(argv, capsys):
+    # at eps <= 0 the patch ladder of testing_scan never reaches 2R, and
+    # p < 1 turns the zero beta numbers of a flat graph into 0^p = 1 or 1/0
+    no_draw = AssertionError("a sample was drawn")
+    with mock.patch("heiskit.riesz.surface_sample", side_effect=no_draw), \
+         mock.patch("heiskit.beta.surface_sample", side_effect=no_draw):
+        assert cli.main(argv) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_fit_decay_exact_power_laws():
     radii = [2.0**k for k in range(-5, 6)]
     prof = [(math.log(r), math.log(r**0.5)) for r in radii]

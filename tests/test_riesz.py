@@ -209,6 +209,18 @@ def test_flat_centered_symmetry_cancels():
         assert abs(row.adj) <= 3 * row.adj_stderr
 
 
+@pytest.mark.parametrize("eps_grid", [[], [0.0], [-0.5], [0.5, 0.0]])
+def test_testing_scan_rejects_nonpositive_eps_before_sampling(monkeypatch, eps_grid):
+    # the patch ladder doubles from 8 * min(eps) up to 2R: at eps <= 0 it never ends
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(riesz, "surface_sample", no_draw)
+    ball = core.Ball(core.point(0, 0, 0), 1.0)
+    with pytest.raises(ValueError, match="eps grid"):
+        riesz.testing_scan(domains.flat(0.0, 0.0), [ball], eps_grid, [ball.center], n=1000)
+
+
 def test_smooth_vs_sharp_gap():
     g, ball, sample = flat_sample(n=400_000, seed=1)
     psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius)
