@@ -6,12 +6,18 @@ p = inf and p = 2 are solved exactly: half the least width of the points,
 attained across an edge of their convex hull and found by rotating
 calipers (Houle-Toussaint 1988), and the line through the weighted mean
 along the least-variance direction.
-Other p search a grid of normal angles over [0, pi), the smallest angle
-winning ties, then may refine the best; per angle the offset is the
-weighted median min{v : W(a <= v) >= W/2} for p = 1 and a bounded convex
-1-d solve otherwise.  The exact L^1 optimum, a line through two sample
-points (Martini-Schoebel 1998), costs O(m^2); the grid value is at or above
-it.  Only the value is meant for assertions, not which optimal plane wins.
+Other p search 180 normal angles over [0, pi), the smallest angle winning
+ties, then refine the best; per angle the offset is the weighted median
+min{v : W(a <= v) >= W/2} for p = 1 and a bounded convex 1-d solve
+otherwise.  The exact L^1 optimum, a line through two sample points
+(Martini-Schoebel 1998), costs O(m^2); the grid value is at or above it.
+Only the value is meant for assertions, not which optimal plane wins.
+
+The perimeter majorant and the Carleson scan share one loop over local
+balls: 12 surface points q of a window and a ladder of radii r, each ball
+B(q, scale r) with its own surface sample of samples // 5 points and a
+coarse 60-angle fit without refinement.  Every sample size comes from the
+caller's SampleConfig: the window sample (and osc_beta_compare's) draws n.
 """
 
 from __future__ import annotations
@@ -48,6 +54,19 @@ _ENLARGEMENT = 24.0
 # Plane fits decimate larger in-ball samples to this many points.
 _MAX_FIT_POINTS = 30_000
 
+# Grid angles of beta_p's search, which refines the best, and of the
+# coarse search of the local-ball loop, which does not.
+_ANGLES = 180
+_COARSE_ANGLES = 60
+
+# The local-ball loop: window points kept, and the divisor of the sample
+# count that sizes each local sample.
+_N_OUTER = 12
+_LOCAL_DIVISOR = 5
+
+# Octaves of radii below the window radius in the Carleson scan.
+_CARLESON_OCTAVES = 6
+
 
 class EmptyBallError(ValueError):
     """A sample has no points inside the ball, so there is nothing to fit."""
@@ -68,14 +87,14 @@ def _in_ball(sample: WeightedSample, ball: Ball) -> tuple[np.ndarray, np.ndarray
     return sample.points[mask], sample.weights[mask]
 
 
-def _outer_points(g: IntrinsicGraph, ball: Ball, n: int, seed: int, n_outer: int):
-    """About n_outer in-ball points of a surface sample, by a fixed stride,
+def _outer_points(g: IntrinsicGraph, ball: Ball, n: int, seed: int):
+    """About _N_OUTER in-ball points of a surface sample, by a fixed stride,
     with weights scaled up to stand in for the whole in-ball population."""
     sample = surface_sample(g, region_for_ball(ball), n, seed=seed)
     idx = np.flatnonzero(sample.in_ball(ball))
     if len(idx) == 0:
         raise EmptyBallError("no surface points in the window")
-    sel = idx[:: max(1, len(idx) // n_outer)][:n_outer]
+    sel = idx[:: max(1, len(idx) // _N_OUTER)][:_N_OUTER]
     return sample.points[sel], sample.weights[sel] * (len(idx) / len(sel))
 
 
@@ -117,19 +136,19 @@ def _direction_objective(z: np.ndarray, w: np.ndarray, theta: float, p_exp: floa
     return _offset_solve(a, w, p_exp)
 
 
-def _plane_search(
-    z: np.ndarray, w: np.ndarray, p_exp: float, theta_nodes: int, refine: bool
-) -> tuple[float, float, float]:
-    """(theta, offset, raw objective) minimising the directional fit."""
-    thetas = np.arange(theta_nodes) * (math.pi / theta_nodes)
-    objs = np.empty(theta_nodes)
-    offs = np.empty(theta_nodes)
+def _plane_search(z: np.ndarray, w: np.ndarray, p_exp: float, coarse: bool) -> tuple[float, float, float]:
+    """(theta, offset, raw objective) minimising the directional fit: the best
+    of _ANGLES grid angles, refined, or of _COARSE_ANGLES when coarse."""
+    m = _COARSE_ANGLES if coarse else _ANGLES
+    thetas = np.arange(m) * (math.pi / m)
+    objs = np.empty(m)
+    offs = np.empty(m)
     for i, th in enumerate(thetas):
         offs[i], objs[i] = _direction_objective(z, w, th, p_exp)
     best = int(np.argmin(objs))  # first minimum: smallest-theta tie break
     theta, offset, obj = float(thetas[best]), float(offs[best]), float(objs[best])
-    if refine and theta_nodes > 2:
-        step = math.pi / theta_nodes
+    if not coarse:
+        step = math.pi / m
         res = minimize_scalar(
             lambda th: _direction_objective(z, w, th, p_exp)[1],
             bounds=(theta - step, theta + step),
@@ -187,27 +206,9 @@ def beta_inf(sample: WeightedSample, ball: Ball) -> BetaResult:
     return BetaResult(half_width / ball.radius, VerticalPlane(theta, offset), math.inf, len(pts))
 
 
-def beta_p(
-    sample: WeightedSample,
-    ball: Ball,
-    p_exp: float,
-    normalization: str = "r3",
-    theta_nodes: int = 180,
-    refine: bool = True,
-) -> BetaResult:
-    """L^p vertical beta number over the weighted sample inside the ball.
-
-    normalization "r3" divides the p-th moment by r^3 (the regular-measure
-    convention); "mass" divides by the total in-ball weight, which turns the
-    number into a weighted power mean and makes the family exactly monotone
-    in p on a fixed sample.  p = 2 is solved exactly and ignores theta_nodes
-    and refine; p = inf is beta_inf.
-    """
-    p_exp = float(p_exp)
-    if not 1.0 <= p_exp < math.inf:
-        raise ValueError("p exponent must be finite and >= 1; use beta_inf for p = inf")
-    if normalization not in ("r3", "mass"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+def _fit(sample: WeightedSample, ball: Ball, p_exp: float, normalization: str, coarse: bool) -> BetaResult:
+    """beta_p for a finite p >= 1, by the full or the coarse angle search;
+    p = 2 is solved exactly and searches no angles."""
     pts, w = _in_ball(sample, ball)
     if float(w.sum()) <= 0.0:
         raise ValueError("zero total weight in the ball")
@@ -217,10 +218,55 @@ def beta_p(
     if p_exp == 2.0:
         theta, offset, obj = _l2_plane(pts[:, :2], w)
     else:
-        theta, offset, obj = _plane_search(pts[:, :2], w, p_exp, theta_nodes, refine)
+        theta, offset, obj = _plane_search(pts[:, :2], w, p_exp, coarse)
     den = r**3 if normalization == "r3" else float(w.sum())
     value = (obj / (r**p_exp) / den) ** (1.0 / p_exp)
     return BetaResult(value, VerticalPlane(theta, offset), p_exp, n_in_ball)
+
+
+def beta_p(sample: WeightedSample, ball: Ball, p_exp: float, normalization: str = "r3") -> BetaResult:
+    """L^p vertical beta number over the weighted sample inside the ball.
+
+    normalization "r3" divides the p-th moment by r^3 (the regular-measure
+    convention); "mass" divides by the total in-ball weight, which turns the
+    number into a weighted power mean and makes the family exactly monotone
+    in p on a fixed sample.  p = 2 is solved exactly; p = inf is beta_inf.
+    """
+    p_exp = float(p_exp)
+    if not 1.0 <= p_exp < math.inf:
+        raise ValueError("p exponent must be finite and >= 1; use beta_inf for p = inf")
+    if normalization not in ("r3", "mass"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    return _fit(sample, ball, p_exp, normalization, False)
+
+
+def _check_local_scan(p_exp: float, cfg: SampleConfig) -> None:
+    """The settings the local-ball loop needs, checked before any draw."""
+    if not 1.0 <= p_exp < math.inf:
+        raise ValueError("p exponent must be >= 1 and finite")
+    if cfg.n < _LOCAL_DIVISOR:
+        raise ValueError(f"sample count must be >= {_LOCAL_DIVISOR}; local balls draw n // {_LOCAL_DIVISOR}")
+
+
+def _local_betas(g: IntrinsicGraph, window: Ball, cfg: SampleConfig, seeds: tuple[int, int],
+                 radii, scale: float, fit_p: float, p_exp: float, dlog: float):
+    """(weight, sum over k of beta_fit_p(B(q, scale r_k))^p_exp dlog) for each
+    outer surface point q of the window, in order.
+
+    Each beta ball gets its own local sample so that small scales stay
+    resolved; seeds are derived deterministically per (q, r): child(seeds[0])
+    draws the window sample, child(seeds[1] + j len(radii) + k) the k-th ball
+    around the j-th point.
+    """
+    outer, weights = _outer_points(g, window, cfg.n, cfg.child(seeds[0]).seed)
+    for j, q in enumerate(outer):
+        inner = 0.0
+        for k, r in enumerate(radii):
+            bball = Ball(q, scale * r)
+            seed = cfg.child(seeds[1] + j * len(radii) + k).seed
+            local = surface_sample(g, region_for_ball(bball), cfg.n // _LOCAL_DIVISOR, seed=seed)
+            inner += _fit(local, bball, fit_p, "r3", True).value ** p_exp * dlog
+        yield weights[j], inner
 
 
 @dataclass(frozen=True)
@@ -230,21 +276,16 @@ class OscBetaComparison:
     ratio: float
 
 
-def osc_beta_compare(
-    g: IntrinsicGraph,
-    ball: Ball,
-    cfg: SampleConfig,
-    beta_n: int = 200_000,
-) -> OscBetaComparison:
+def osc_beta_compare(g: IntrinsicGraph, ball: Ball, cfg: SampleConfig) -> OscBetaComparison:
     """Oscillation of the ball against the L^1 beta number of the enlarged ball.
 
-    The ball is enlarged by the comparison constant 24 and the oscillation
-    uses 16 shift nodes.  The ratio is defined as 0 when both quantities
-    vanish (flat configurations).
+    The ball is enlarged by the comparison constant 24, the oscillation
+    uses 16 shift nodes, and both sides draw cfg.n samples.  The ratio is
+    defined as 0 when both quantities vanish (flat configurations).
     """
     osc_est = osc(g, ball, cfg, s_nodes=16)
     big = Ball(ball.center, _ENLARGEMENT * ball.radius)
-    sample = surface_sample(g, region_for_ball(big), beta_n, seed=cfg.child(7).seed)
+    sample = surface_sample(g, region_for_ball(big), cfg.n, seed=cfg.child(7).seed)
     b1 = beta_p(sample, big, 1.0)
     if b1.value == 0.0:
         ratio = 0.0 if osc_est.value == 0.0 else math.inf
@@ -260,55 +301,34 @@ class PerimeterBetaBound:
     bulk_term: float
     beta_term: float
     ratio: float
-    inner_radii: np.ndarray
 
 
 def perimeter_beta_bound(
-    g: IntrinsicGraph,
-    window: Ball,
-    p_exp: float,
-    grid: ScaleGrid,
-    cfg: SampleConfig,
-    n_outer: int = 12,
-    beta_n: int = 100_000,
-    inner_n: int = 20_000,
-    theta_nodes: int = 60,
+    g: IntrinsicGraph, window: Ball, p_exp: float, grid: ScaleGrid, cfg: SampleConfig
 ) -> PerimeterBetaBound:
     """L^p vertical perimeter of the window against its beta-number majorant.
 
     lhs integrates (v(window)(s)/s)^p over the scale grid.  rhs is
     R^3 plus the surface integral over the enlarged window of the inner
-    logarithmic beta integral; the inner radii are the grid scales clipped
+    logarithmic beta_p integral; the inner radii are the grid scales clipped
     to the window radius, scaled up by the enlargement 24 inside each beta
     ball.  The outer surface integral is evaluated on a deterministic
-    decimation of the sampled points.
+    decimation of the sampled points.  p < 1, p = inf and fewer than 5
+    samples raise ValueError.
     """
+    _check_local_scan(p_exp, cfg)
     R = window.radius
-    p0 = window.center
-    lhs = lp_vertical_perimeter(g, window, p_exp, grid, cfg)
-
     inner_radii = np.asarray([r for r in grid.scales() if r <= R * (1 + 1e-12)])
     if len(inner_radii) == 0:
         raise ValueError("scale grid has no nodes at or below the window radius")
-    # Unbiased surface quadrature over a decimation of the enlarged window
-    outer, weights = _outer_points(g, Ball(p0, _ENLARGEMENT * R), beta_n, cfg.child(11).seed, n_outer)
+    lhs = lp_vertical_perimeter(g, window, p_exp, grid, cfg)
 
+    # Unbiased surface quadrature over a decimation of the enlarged window
+    big = Ball(window.center, _ENLARGEMENT * R)
+    betas = _local_betas(g, big, cfg, (11, 100), inner_radii, _ENLARGEMENT, p_exp, p_exp, grid.dlog)
     beta_term = 0.0
-    for j, q in enumerate(outer):
-        inner = 0.0
-        for k, r in enumerate(inner_radii):
-            # Each beta ball gets its own local sample so that small scales
-            # stay resolved; seeds are derived deterministically per (q, r).
-            bball = Ball(q, _ENLARGEMENT * r)
-            local = surface_sample(
-                g,
-                region_for_ball(bball),
-                inner_n,
-                seed=cfg.child(100 + j * len(inner_radii) + k).seed,
-            )
-            b = beta_p(local, bball, p_exp, theta_nodes=theta_nodes, refine=False)
-            inner += b.value**p_exp * grid.dlog
-        beta_term += weights[j] * inner ** (1.0 / p_exp)
+    for weight, inner in betas:
+        beta_term += weight * inner ** (1.0 / p_exp)
 
     bulk = R**3
     rhs = bulk + beta_term
@@ -318,61 +338,29 @@ def perimeter_beta_bound(
         bulk_term=bulk,
         beta_term=beta_term,
         ratio=lhs.value / rhs if rhs > 0 else math.inf,
-        inner_radii=inner_radii,
     )
 
 
 @dataclass(frozen=True)
 class CarlesonScan:
     ratio: float
-    double_integral: float
-    radii: np.ndarray
-    n_outer: int
 
 
-def carleson_scan(
-    g: IntrinsicGraph,
-    p0,
-    R: float,
-    p_exp: float,
-    cfg: SampleConfig,
-    octaves: int = 6,
-    n_outer: int = 12,
-    outer_n: int = 100_000,
-    inner_n: int = 20_000,
-    theta_nodes: int = 60,
-) -> CarlesonScan:
+def carleson_scan(g: IntrinsicGraph, p0, R: float, p_exp: float, cfg: SampleConfig) -> CarlesonScan:
     """Empirical packing ratio of a scale-square double integral against R^3.
 
     Integrates beta_1(B(q, r))^p over surface points q in B(p0, R) and radii
-    r in a grid of one node per octave up to R.  Inner balls carry their own
-    local surface samples so that every octave stays resolved.  The scan
-    reports the ratio only; no pass/fail judgement is attached, since
-    admissible exponents are an open matter.  p < 1 raises ValueError.
+    r in a grid of one node per octave over six octaves up to R.  Inner
+    balls carry their own local surface samples so that every octave stays
+    resolved.  The scan reports the ratio only; no pass/fail judgement is
+    attached, since admissible exponents are an open matter.  p < 1,
+    p = inf and fewer than 5 samples raise ValueError.
     """
-    if not p_exp >= 1.0:
-        raise ValueError("p exponent must be >= 1")
-    p0 = as_points(p0)
+    _check_local_scan(p_exp, cfg)
     R = float(R)
-    grid = ScaleGrid(R * 2.0**-octaves, R, 1)
-    radii = grid.scales()
-
-    outer, weights = _outer_points(g, Ball(p0, R), outer_n, cfg.child(13).seed, n_outer)
-
+    grid = ScaleGrid(R * 2.0**-_CARLESON_OCTAVES, R, 1)
+    window = Ball(as_points(p0), R)
     total = 0.0
-    for j, q in enumerate(outer):
-        inner = 0.0
-        for k, r in enumerate(radii):
-            bball = Ball(q, r)
-            seed = cfg.child(1000 + j * len(radii) + k).seed
-            local = surface_sample(g, region_for_ball(bball), inner_n, seed=seed)
-            val = beta_p(local, bball, 1.0, theta_nodes=theta_nodes, refine=False).value
-            inner += val**p_exp * grid.dlog
-        total += weights[j] * inner
-
-    return CarlesonScan(
-        ratio=total / R**3,
-        double_integral=total,
-        radii=radii,
-        n_outer=len(outer),
-    )
+    for weight, inner in _local_betas(g, window, cfg, (13, 1000), grid.scales(), 1.0, 1.0, p_exp, grid.dlog):
+        total += weight * inner
+    return CarlesonScan(ratio=total / R**3)

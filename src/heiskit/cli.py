@@ -380,7 +380,7 @@ def _exp_osc_vs_beta(cfg: ExperimentConfig):
     failures = []
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
-        comp = beta.osc_beta_compare(g, ball, scfg.child(k), beta_n=min(cfg.samples, 200_000))
+        comp = beta.osc_beta_compare(g, ball, scfg.child(k))
         inside = comp.beta1.n_in_ball
         if inside < 3:
             ok = False
@@ -576,7 +576,7 @@ def run(cfg: ExperimentConfig) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heiskit", description=__doc__)
-    parser.add_argument("--config", help="run every experiment section of a config file")
+    parser.add_argument("--config", help="run every experiment section of a config file, in place of an experiment")
     sub = parser.add_subparsers(dest="experiment")
     for name in _RUNNERS:
         p = sub.add_parser(name)
@@ -590,6 +590,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
+            if args.experiment:
+                raise ConfigError(f"--config runs its file's sections; drop the experiment {args.experiment!r}")
             with open(args.config) as fh:
                 cfgs = configs_from_text(fh.read())
             return max(run(c) for c in cfgs)

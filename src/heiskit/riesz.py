@@ -79,14 +79,14 @@ def _parts(p):
     return x, y, t, z2, n4
 
 
-def _kernel_pair(p) -> tuple[np.ndarray, np.ndarray]:
-    """(K, Kstar = K(p^-1)) from shared terms: with A = 2 x z^2, B = 8 y t,
-    C = 2 y z^2, D = 8 x t, K = (B - A) + i (C + D) and Kstar = (A + B) + i (D - C),
-    both times koranyi^-6."""
+def _kernel_pair(p, kernels=("K", "Kstar")) -> tuple[np.ndarray, ...]:
+    """K and Kstar = K(p^-1), or only the kernels named, from shared terms:
+    with A = 2 x z^2, B = 8 y t, C = 2 y z^2, D = 8 x t, K = (B - A) + i (C + D)
+    and Kstar = (A + B) + i (D - C), both times koranyi^-6."""
     x, y, t, z2, n4 = _parts(p)
     a, b, c, d = 2.0 * x * z2, 8.0 * y * t, 2.0 * y * z2, 8.0 * x * t
     m = n4**-1.5
-    return ((b - a) + 1j * (c + d)) * m, ((a + b) + 1j * (d - c)) * m
+    return tuple(((b - a) + 1j * (c + d) if k == "K" else (a + b) + 1j * (d - c)) * m for k in kernels)
 
 
 def eval_kernel(kernel_id: str, p) -> np.ndarray:
@@ -100,7 +100,7 @@ def eval_kernel(kernel_id: str, p) -> np.ndarray:
     if kernel_id not in KERNEL_DEGREES:
         raise KeyError(f"unknown kernel id {kernel_id!r}; known: {sorted(KERNEL_DEGREES)}")
     if kernel_id in ("K", "Kstar"):
-        return _kernel_pair(p)[kernel_id == "Kstar"]
+        return _kernel_pair(p, (kernel_id,))[0]
     x, y, t, z2, n4 = _parts(p)
     if kernel_id == "G":
         return n4**-0.5

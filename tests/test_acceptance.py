@@ -387,10 +387,7 @@ def test_criterion_10_perimeter_vs_beta():
         for k, R in enumerate((0.5, 1.0, 2.0)):
             cfg = SampleConfig(n=100_000, seed=8000 + 10 * gi + k)
             grid = oscillation.ScaleGrid(R / 64, R, 2)
-            res = beta.perimeter_beta_bound(
-                g, core.Ball(core.point(0, 0, 0), R), 1.0, grid, cfg,
-                n_outer=12, beta_n=100_000, inner_n=20_000, theta_nodes=60,
-            )
+            res = beta.perimeter_beta_bound(g, core.Ball(core.point(0, 0, 0), R), 1.0, grid, cfg)
             ok &= res.lhs.value <= K_PERIMETER * res.rhs
             ratios.append(res.ratio)
         stability = max(ratios) / min(ratios)

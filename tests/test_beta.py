@@ -277,7 +277,7 @@ def test_general_p_offset_solve_is_convex_consistent():
 
 def test_osc_beta_compare_flat():
     g = domains.flat(0.0, 0.0)
-    res = beta.osc_beta_compare(g, BALL, SampleConfig(n=50_000, seed=2), beta_n=50_000)
+    res = beta.osc_beta_compare(g, BALL, SampleConfig(n=50_000, seed=2))
     assert res.osc.value == 0.0
     assert res.beta1.value <= 1e-6
     assert res.ratio == 0.0
@@ -287,7 +287,7 @@ def test_osc_beta_compare_lift():
     # vertical-line-invariant graphs have zero vertical oscillation while the
     # plane-fit side stays positive; the ratio is finite (zero)
     g = domains.euclidean_lift("abs", scale=0.5)
-    res = beta.osc_beta_compare(g, BALL, SampleConfig(n=50_000, seed=3), beta_n=100_000)
+    res = beta.osc_beta_compare(g, BALL, SampleConfig(n=50_000, seed=3))
     assert res.osc.value == 0.0
     assert res.beta1.value > 0.01
     assert math.isfinite(res.ratio)
@@ -305,13 +305,11 @@ def holder_like(c):
 def test_osc_beta_compare_positive_and_dilation_stable():
     g = holder_like(0.5)
     cfg = SampleConfig(n=60_000, seed=4)
-    res = beta.osc_beta_compare(g, BALL, cfg, beta_n=60_000)
+    res = beta.osc_beta_compare(g, BALL, cfg)
     assert res.osc.value > 0 and res.beta1.value > 0 and math.isfinite(res.ratio)
     # the profile is invariant under intrinsic dilations, so a dilated ball
     # on the same graph gives the same ratio up to noise
-    res2 = beta.osc_beta_compare(
-        g, core.Ball(core.point(0, 0, 0), 2.0), cfg.child(5), beta_n=60_000
-    )
+    res2 = beta.osc_beta_compare(g, core.Ball(core.point(0, 0, 0), 2.0), cfg.child(5))
     assert res2.ratio == pytest.approx(res.ratio, rel=0.35)
 
 
@@ -320,7 +318,6 @@ def test_perimeter_beta_bound_flat():
     grid = ScaleGrid(0.125, 1.0, 1)
     res = beta.perimeter_beta_bound(
         g, BALL, 1.0, grid, SampleConfig(n=30_000, seed=5),
-        n_outer=6, beta_n=30_000, inner_n=5_000, theta_nodes=30,
     )
     assert res.lhs.value == 0.0
     assert res.beta_term <= 1e-4 * res.bulk_term
@@ -331,14 +328,12 @@ def test_carleson_scan_flat_and_translation():
     g = domains.flat(0.0, 0.0)
     scan = beta.carleson_scan(
         g, core.point(0, 0, 0), 1.0, 1.0, SampleConfig(n=20_000, seed=6),
-        octaves=3, n_outer=4, outer_n=20_000, inner_n=4_000, theta_nodes=30,
     )
     assert scan.ratio <= 1e-6
 
     gh = holder_like(0.5)
     base = beta.carleson_scan(
         gh, core.point(0, 0, 0), 1.0, 1.0, SampleConfig(n=20_000, seed=7),
-        octaves=3, n_outer=4, outer_n=20_000, inner_n=4_000, theta_nodes=30,
     )
     # translate the whole configuration by a vertical-plane element: the
     # graph moves by a plain parameter shift
@@ -351,7 +346,6 @@ def test_carleson_scan_flat_and_translation():
     p0 = core.mul(core.point(0, b, c), core.point(0, 0, 0))
     moved = beta.carleson_scan(
         shifted, p0, 1.0, 1.0, SampleConfig(n=20_000, seed=8),
-        octaves=3, n_outer=4, outer_n=20_000, inner_n=4_000, theta_nodes=30,
     )
     assert moved.ratio == pytest.approx(base.ratio, rel=0.35)
     assert base.ratio > 0
@@ -373,8 +367,20 @@ def test_carleson_scan_lift_stable_across_window():
     for k, R in enumerate((0.5, 1.0, 2.0)):
         scan = beta.carleson_scan(
             g, core.point(0, 0, 0), R, 1.0, SampleConfig(n=20_000, seed=30 + k),
-            octaves=3, n_outer=4, outer_n=20_000, inner_n=4_000, theta_nodes=30,
         )
         ratios.append(scan.ratio)
     assert all(0 < r < math.inf for r in ratios)
     assert max(ratios) / min(ratios) <= 2.0
+
+
+def test_local_beta_scans_are_pinned():
+    # the window sample draws n and every local ball n // 5 points; these are
+    # the values of the scans from when those sizes were explicit arguments
+    # (outer 20,000, inner 4,000), bit for bit
+    g = domains.vertical_holder(1.0, 0.5)
+    cfg = SampleConfig(n=20_000, seed=41)
+    assert beta.carleson_scan(g, core.point(0, 0, 0), 1.0, 2.0, cfg).ratio == 0.011708350231760048
+    res = beta.perimeter_beta_bound(g, BALL, 1.0, ScaleGrid(0.125, 1.0, 1), cfg.child(1))
+    assert (res.lhs.value, res.lhs.stderr) == (0.8806702545710343, 0.010118046990410788)
+    assert (res.beta_term, res.rhs, res.ratio) == (649.4852182131607, 650.4852182131607, 0.001353866667393575)
+

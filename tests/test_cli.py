@@ -108,6 +108,13 @@ def test_bad_values_name_their_key(tmp_path, capsys):
     # no argparse choices: a bad format is a config error, not a SystemExit
     assert cli.main(["osc-scan", "--format", "xml"]) == 2
     assert "config error: format must be csv or json" in capsys.readouterr().err
+    # a config file runs its own sections, so an experiment beside it is an error
+    good = tmp_path / "good.cfg"
+    good.write_text("[osc-scan]\nsamples = 1000\n")
+    with mock.patch.object(cli, "run", return_value=0) as run:
+        assert cli.main(["--config", str(good), "dini", "--samples", "5"]) == 2
+    run.assert_not_called()
+    assert "config error: --config " in capsys.readouterr().err
 
 
 def test_every_setting_is_a_flag_of_every_experiment():
@@ -123,15 +130,35 @@ def test_every_setting_is_a_flag_of_every_experiment():
     ["riesz-test", "--eps-grid=-0.5"],
     ["carleson", "--radius", "1", "--p-exp", "0"],
     ["carleson", "--radius", "1", "--p-exp", "-1"],
+    ["carleson", "--radius", "1", "--p-exp", "inf"],
+    ["perimeter-beta", "--p-exp", "inf"],
+    ["perimeter-beta", "--p-exp", "nan"],
+    ["carleson", "--samples", "4"],
+    ["perimeter-beta", "--samples", "4"],
 ])
 def test_out_of_range_scan_settings_exit_2_before_sampling(argv, capsys):
-    # at eps <= 0 the patch ladder of testing_scan never reaches 2R, and
-    # p < 1 turns the zero beta numbers of a flat graph into 0^p = 1 or 1/0
+    # at eps <= 0 the patch ladder of testing_scan never reaches 2R;
+    # p < 1 turns the zero beta numbers of a flat graph into 0^p = 1 or 1/0,
+    # and p = inf every beta number below 1 into 0; below 5 samples a local
+    # beta ball would draw samples // 5 = 0 points
     no_draw = AssertionError("a sample was drawn")
     with mock.patch("heiskit.riesz.surface_sample", side_effect=no_draw), \
-         mock.patch("heiskit.beta.surface_sample", side_effect=no_draw):
+         mock.patch("heiskit.beta.surface_sample", side_effect=no_draw), \
+         mock.patch("heiskit.beta.lp_vertical_perimeter", side_effect=no_draw):
         assert cli.main(argv) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+def test_carleson_ratio_follows_samples(tmp_path):
+    # the window sample draws --samples points and each local ball a fifth
+    ratios = []
+    for n in ("2000", "5000"):
+        out = tmp_path / f"c{n}.csv"
+        assert cli.main(["carleson", "--domain", _LIFT, "--radius", "1", "--p-exp", "4",
+                         "--samples", n, "--out", str(out)]) == 0
+        lines = (line for line in out.read_text().splitlines() if not line.startswith("#"))
+        ratios.append(next(csv.DictReader(lines))["ratio"])
+    assert ratios[0] != ratios[1]
 
 
 def test_fit_decay_exact_power_laws():
