@@ -1,7 +1,15 @@
 """Vertical beta numbers: best approximation of a set by vertical planes.
 
-The distance from a point to a vertical plane depends only on its (x, y)
-part, so a plane fit is a weighted fit of a line to the projected points.
+The metric distance from p = (x, y, t) to the vertical plane with normal
+angle theta and offset c is |x cos(theta) + y sin(theta) - c|.  Rotations
+about the t-axis and left translations are isometries that map vertical
+planes to vertical planes, so it suffices that dist(p, W) = |x| for the
+(y, t)-plane W.  For w = (0, b, c') in W, d(p, w) = box_norm(w^-1 * p) =
+max(|(x, y - b)|, ...) >= |x|, with equality at b = y, c' = t + x y / 2,
+where the t-part of w^-1 * p vanishes: p lies at parameter x on the
+horizontal line s -> w * (s, 0, 0), an isometric copy of the real line.
+So the distance depends only on the (x, y) part, and a plane fit is a
+weighted fit of a line to the projected points.
 p = inf and p = 2 are solved exactly: half the least width of the points,
 attained across an edge of their convex hull and found by rotating
 calipers (Houle-Toussaint 1988), and the line through the weighted mean

@@ -82,7 +82,10 @@ def _parse_center(text: str) -> tuple[float, float, float]:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != 3:
         raise ConfigError(f"needs three coordinates, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    coords = tuple(float(p) for p in parts)
+    if not all(math.isfinite(c) for c in coords):
+        raise ConfigError(f"coordinates must be finite, got {text!r}")
+    return coords  # type: ignore[return-value]
 
 
 def _parse_scales(text: str) -> tuple[float, float, int]:
@@ -272,21 +275,21 @@ def _exp_invariants(cfg: ExperimentConfig):
         return float(np.max(num / np.maximum(sc, 1.0)))
 
     checks = []
-    checks.append(("group associativity",
+    checks.append(("group associativity", n,
                    relerr(core.mul(core.mul(P, Q), S), core.mul(P, core.mul(Q, S))), 1e-12))
-    checks.append(("group inverse",
+    checks.append(("group inverse", n,
                    float(np.max(np.abs(core.mul(P, core.inv(P))))), 1e-12))
-    checks.append(("left invariance of the metric",
+    checks.append(("left invariance of the metric", n,
                    relerr(core.dist(core.mul(S, P), core.mul(S, Q)), core.dist(P, Q)), 1e-12))
-    checks.append(("dilation homogeneity of the box norm",
+    checks.append(("dilation homogeneity of the box norm", n,
                    relerr(core.box_norm(core.dilate(lam, P)), lam * core.box_norm(P)), 1e-12))
-    checks.append(("dilation homogeneity of the koranyi norm",
+    checks.append(("dilation homogeneity of the koranyi norm", n,
                    relerr(core.koranyi_norm(core.dilate(lam, P)), lam * core.koranyi_norm(P)), 1e-12))
-    checks.append(("rotation isometry",
+    checks.append(("rotation isometry", n,
                    relerr(core.dist(core.rotate(theta, P), core.rotate(theta, Q)), core.dist(P, Q)), 1e-12))
-    checks.append(("metric symmetry", relerr(core.dist(P, Q), core.dist(Q, P)), 1e-12))
+    checks.append(("metric symmetry", n, relerr(core.dist(P, Q), core.dist(Q, P)), 1e-12))
     tri = core.dist(P, Q) - (core.dist(P, S) + core.dist(S, Q))
-    checks.append(("triangle inequality", float(np.max(tri)), 1e-12))
+    checks.append(("triangle inequality", n, float(np.max(tri)), 1e-12))
 
     kp = rng.uniform(-2.0, 2.0, (500, 3))
     kp = kp[core.koranyi_norm(kp) > 1e-3]
@@ -295,20 +298,45 @@ def _exp_invariants(cfg: ExperimentConfig):
         a = riesz.eval_kernel(kid, core.dilate(lamk, kp))
         b = lamk**deg * riesz.eval_kernel(kid, kp)
         sc = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-        checks.append((f"kernel homogeneity {kid}", float(np.max(np.abs(a - b) / sc)), 1e-10))
-    checks.append(("kernel inversion identity",
+        checks.append((f"kernel homogeneity {kid}", len(kp), float(np.max(np.abs(a - b) / sc)), 1e-10))
+    checks.append(("kernel inversion identity", len(kp),
                    float(np.max(riesz.inversion_identity_residual(kp))), 1e-10))
+
+    eps = np.finfo(float).eps
+    # G = koranyi^-2 is 1 on the unit Koranyi sphere and harmonic off the
+    # origin for both horizontal Laplacians.  Per frame the 3-point stencil
+    # errs by h^2/12 times the fourth derivative of G along the frame line,
+    # below 320 within h of the sphere (312 at most on a 2001 x 721 grid of
+    # it), and by the rounding of its three G values: each is within 15 eps
+    # (6 operations, and coordinates within 1.2 eps at |grad G| <= 4), so
+    # 64 eps over h^2 with the stencil weights 1, 2, 1.  Two frames add both.
+    h = 1e-3
+    ks = core.dilate(1.0 / core.koranyi_norm(kp), kp)
+    harm = max(float(np.max(riesz.harmonicity_residual(ks, h, right=right))) for right in (False, True))
+    checks.append(("harmonicity of G in the left and right frames", len(ks), harm,
+                   2.0 * (h * h / 12.0 * 320.0 + 64.0 * eps / (h * h))))
+    # For V = (sin(t + y), cos(t - x)) at |x|, |y| <= 2 the third derivative
+    # along each frame line is at most 1 for the X, Y, Xt and Yt terms and
+    # |x| + |y| <= 4 for the t-derivative of the torsion -y V1 + x V2, so the
+    # central differences err by h^2/6 (1 + 1 + 1 + 1 + 4) in all.  Each
+    # value of size M (1, or 4 for the torsion) with slope at most M rounds
+    # to within 5 M eps (2 M eps of arithmetic, 3 M eps from coordinates up
+    # to 3), so each difference to within 5 M eps over h: 40 eps over h.
+    h = 1e-4
+    field = lambda p: np.stack((np.sin(p[..., 2] + p[..., 1]), np.cos(p[..., 2] - p[..., 0])), axis=-1)
+    div = float(np.max(riesz.left_right_divergence_residual(field, kp, h)[2]))
+    checks.append(("left/right divergence identity", len(kp), div, 8.0 * h * h / 6.0 + 40.0 * eps / h))
 
     columns = ["check", "instances", "max_err", "tol", "passed"]
     rows = []
     ok = True
     failures = []
-    for name, err, tol in checks:
+    for name, count, err, tol in checks:
         passed = bool(err <= tol)
         ok &= passed
         if not passed:
             failures.append(f"violated invariant: {name} (max err {err:.3g} > tol {tol:g})")
-        rows.append((name, n, err, tol, passed))
+        rows.append((name, count, err, tol, passed))
     summary = {"checks": len(checks), "failures": failures}
     return columns, rows, summary, ok
 
@@ -326,10 +354,10 @@ def _exp_osc_scan(cfg: ExperimentConfig):
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
         child = scfg.child(k)
-        mids, est = oscillation._profile_pass(dom, ball, child, 16)
-        for s, v, e in zip([*mids, None], est.value, est.stderr):
+        mids, prof, est = oscillation.perimeter_profile(dom, ball, child, 16)
+        for s, v, e in zip([*mids, None], [*prof.value, est.value], [*prof.stderr, est.stderr]):
             rows.append((dom.label, cx, cy, ct, r, s, float(v), float(e), child.n, child.seed))
-        if est.value[-1] > 0.5 * math.pi + 5 * est.stderr[-1] + 1e-12:
+        if est.value > 0.5 * math.pi + 5 * est.stderr + 1e-12:
             ok = False
             failures.append(f"violated invariant: oscillation upper bound at r={r:g}")
     summary = {"radii": list(_radii(cfg)), "failures": failures}

@@ -4,6 +4,8 @@ Points are numpy arrays of shape ``(..., 3)`` holding coordinates
 ``(x, y, t)``; every operation broadcasts over leading axes, so a single
 point ``(3,)`` and a batch ``(n, 3)`` go through the same code path.
 All functions are pure closed-form arithmetic with no tolerance knobs.
+The distance to a vertical plane is derived where the plane fits use it,
+in :mod:`heiskit.beta`.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ __all__ = [
     "dist",
     "rotate",
     "proj_vertical",
-    "proj_horizontal",
     "embed_vertical",
     "VerticalPlane",
-    "dist_to_plane",
     "Ball",
 ]
 
@@ -116,12 +116,6 @@ def proj_vertical(p) -> np.ndarray:
     )
 
 
-def proj_horizontal(p) -> np.ndarray:
-    """Horizontal projection, the x coordinate of the (unique) splitting
-    p = w * (x, 0, 0) with w in the (y, t)-plane."""
-    return as_points(p)[..., 0]
-
-
 def embed_vertical(w) -> np.ndarray:
     """Embed plane coordinates (y, t) as the group element (0, y, t)."""
     w = np.asarray(w, dtype=float)
@@ -165,32 +159,6 @@ class VerticalPlane:
         return np.array([math.cos(self.theta), math.sin(self.theta)])
 
 
-YT_PLANE = VerticalPlane(0.0, 0.0)
-
-
-def dist_to_plane(p, plane: VerticalPlane) -> np.ndarray:
-    """Metric distance from p to a vertical plane, in closed form.
-
-    Returns ``|x cos(theta) + y sin(theta) - offset|``.  Why this equals
-    the infimum of d(p, q) over coset points q: after rotating the plane
-    onto the (y, t)-plane W (rotations are isometries and map vertical
-    planes to vertical planes) and left-translating the offset away
-    (left translations are isometries and map cosets to cosets), the claim
-    reduces to dist(p, W) = |x|.  For w = (0, b, c) in W,
-
-        d(p, w) = box_norm(w^-1 * p) = max(|(x, y - b)|, ...) >= |x|,
-
-    and the bound is attained at b = y, c = t + x y / 2, which makes the
-    t-component of w^-1 * p vanish exactly.  Equivalently: the horizontal
-    line s -> w * (s, 0, 0) through any w in W is an isometric copy of the
-    real line, and p lies on the line through w = embed(proj_vertical(p))
-    at parameter x.
-    """
-    p = as_points(p)
-    a = p[..., 0] * math.cos(plane.theta) + p[..., 1] * math.sin(plane.theta)
-    return np.abs(a - plane.offset)
-
-
 @dataclass
 class Ball:
     """Metric ball B(center, radius) of the box norm.
@@ -207,6 +175,8 @@ class Ball:
         self.center = as_points(self.center)
         if self.center.shape != (3,):
             raise ValueError("ball center must be a single point")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("ball center must be finite")
         self.radius = float(self.radius)
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("ball radius must be positive and finite")

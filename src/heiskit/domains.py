@@ -3,9 +3,11 @@
 A domain oracle is just a deterministic, vectorised indicator function with a
 label.  Intrinsic graphs are given by a parametrising function phi(y, t) over
 the canonical vertical plane (the (y, t)-plane); their super-graphs are the
-open sets {x > phi(proj_vertical(x, y, t))}.  Surface sampling realises the
-graph surface measure up to one global multiplicative constant via the area
-formula weight sqrt(1 + grad^2).
+open sets {x > phi(proj_vertical(x, y, t))}; a graph carries only phi and a
+label.  Surface sampling realises the graph surface measure up to one global
+multiplicative constant via the area formula weight sqrt(1 + grad^2), and
+keeps the intrinsic gradient behind each weight, from which _unit_normal
+forms the unit normal where a caller reads it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core
-from .core import Ball, as_points, box_norm, dist, embed_vertical, inv, mul, proj_vertical
-from .quadrature import _estimate_from_moments, _map_chunks, _mc_chunks, _moments
+from .core import Ball, as_points, dist, embed_vertical, inv, mul, proj_vertical
+from .quadrature import _map_chunks, _mc_chunks
 
 __all__ = [
     "DomainOracle",
@@ -27,10 +29,8 @@ __all__ = [
     "Rect",
     "graph_map",
     "intrinsic_gradient",
-    "normal_nu",
     "surface_sample",
     "region_for_ball",
-    "regularity_check",
     "flat",
     "euclidean_lift",
     "vertical_holder",
@@ -38,7 +38,6 @@ __all__ = [
     "parse_domain",
     "complement",
     "transform",
-    "intrinsic_lipschitz_ratio",
 ]
 
 
@@ -80,16 +79,10 @@ def transform(omega: DomainOracle, q=None, lam: float = 1.0) -> DomainOracle:
 class IntrinsicGraph:
     """Graph data for phi: (y, t) -> x over the canonical vertical plane.
 
-    phi must be vectorised (arrays in, array out).  lip_bound is an asserted
-    metadata bound on the intrinsic Lipschitz constant, not a computed one.
-    holder, when present, is a pair (H, tau) asserting vertical Hoelder
-    regularity with exponent (1 + tau)/2 at small gaps and (1 - tau)/2 at
-    large gaps, both with constant H.
+    phi must be vectorised (arrays in, array out).
     """
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lip_bound: float = 0.0
-    holder: Optional[tuple[float, float]] = None
     label: str = "graph"
 
     def indicator(self, p) -> np.ndarray:
@@ -103,15 +96,6 @@ class IntrinsicGraph:
 
     def domain(self) -> DomainOracle:
         return DomainOracle(self.indicator, label=self.label)
-
-    def subgraph_domain(self) -> DomainOracle:
-        def indicator(p):
-            p = as_points(p)
-            w = proj_vertical(p)
-            return (p[..., 0] < self.phi(w[..., 0], w[..., 1])).astype(float)
-
-        return DomainOracle(indicator, label=f"below({self.label})")
-
 
 def graph_map(g: IntrinsicGraph, w) -> np.ndarray:
     """Graph point (0, y, t) * (phi(y, t), 0, 0) for plane coordinates w."""
@@ -144,14 +128,6 @@ def intrinsic_gradient(g: IntrinsicGraph, w, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def normal_nu(g: IntrinsicGraph, w, h: float = 1e-5) -> np.ndarray:
-    """Unit complex normal nu_1 + i nu_2 of the super-graph at graph points,
-
-    nu_1 = 1/sqrt(1 + grad^2), nu_2 = -grad/sqrt(1 + grad^2).
-    """
-    return _unit_normal(intrinsic_gradient(g, w, h))
-
-
 def _area_factor(grad: np.ndarray) -> np.ndarray:
     """Area-formula density sqrt(1 + grad^2) of the intrinsic gradient."""
     return np.sqrt(1.0 + grad * grad)
@@ -179,14 +155,6 @@ class Rect:
     @property
     def area(self) -> float:
         return (self.y1 - self.y0) * (self.t1 - self.t0)
-
-    def contains(self, other: "Rect") -> bool:
-        return (
-            self.y0 <= other.y0
-            and other.y1 <= self.y1
-            and self.t0 <= other.t0
-            and other.t1 <= self.t1
-        )
 
     def meets(self, other: "Rect") -> bool:
         """Whether the two closed rectangles share a point."""
@@ -251,10 +219,6 @@ class WeightedSample:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def in_ball(self, ball: Ball) -> np.ndarray:
         return dist(self.points, ball.center) <= ball.radius
 
@@ -286,39 +250,6 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
     return WeightedSample(w=w, points=points, weights=weights, region=region, seed=seed, grad=grad)
 
 
-def regularity_check(
-    g: IntrinsicGraph,
-    p,
-    radii,
-    sample: Optional[WeightedSample] = None,
-    n: int = 200_000,
-    seed: int = 0,
-) -> list[tuple[float, float, float]]:
-    """Surface-measure density ratios (r, mu(B(p, r))/r^3, stderr).
-
-    The sampled region must cover the largest ball; if an explicit sample is
-    passed with a region that does not, this is an error.
-    """
-    p = as_points(p)
-    radii = sorted(float(r) for r in radii)
-    if not radii:
-        return []
-    needed = region_for_ball(Ball(p, radii[-1]))
-    if sample is None:
-        sample = surface_sample(g, needed, n, seed)
-    elif sample.region is not None and not sample.region.contains(
-        region_for_ball(Ball(p, radii[-1]), pad=0.0)
-    ):
-        raise ValueError("sampled region too small for the largest radius")
-    out = []
-    d = dist(sample.points, p)
-    for r in radii:
-        # the weight sum is n times the mean weight, samples off the ball counting as zeros
-        est = _estimate_from_moments(*_moments(sample.weights[d <= r], sample.n), sample.n)
-        out.append((r, float(est.value) / r**3, float(est.stderr) / r**3))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 
@@ -340,11 +271,7 @@ def flat(theta: float = 0.0, offset: float = 0.0) -> IntrinsicGraph:
     def phi(y, t):
         return a * np.asarray(y, dtype=float) + b
 
-    return IntrinsicGraph(
-        phi,
-        lip_bound=abs(a),
-        label=f"flat:theta={plane.theta:g},offset={plane.offset:g}",
-    )
+    return IntrinsicGraph(phi, label=f"flat:theta={plane.theta:g},offset={plane.offset:g}")
 
 
 _PHI0: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -354,11 +281,11 @@ _PHI0: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def euclidean_lift(phi0, scale: float = 1.0, lip: Optional[float] = None) -> IntrinsicGraph:
+def euclidean_lift(phi0, scale: float = 1.0) -> IntrinsicGraph:
     """Graph constant along vertical lines: phi(y, t) = scale * phi0(y).
 
     phi0 may be a vectorised callable or one of the named profiles
-    {zero, abs, sin} (all 1-Lipschitz; lip metadata defaults to |scale|).
+    {zero, abs, sin}, all 1-Lipschitz.
     """
     if isinstance(phi0, str):
         if phi0 not in _PHI0:
@@ -373,11 +300,7 @@ def euclidean_lift(phi0, scale: float = 1.0, lip: Optional[float] = None) -> Int
     def phi(y, t):
         return scale * np.asarray(fn(np.asarray(y, dtype=float)), dtype=float)
 
-    return IntrinsicGraph(
-        phi,
-        lip_bound=abs(scale) if lip is None else float(lip),
-        label=f"lift:phi0={name},scale={scale:g}",
-    )
+    return IntrinsicGraph(phi, label=f"lift:phi0={name},scale={scale:g}")
 
 
 def vertical_holder(H: float, tau: float) -> IntrinsicGraph:
@@ -408,12 +331,7 @@ def vertical_holder(H: float, tau: float) -> IntrinsicGraph:
         out = amp * np.sign(t) * mag
         return np.broadcast_to(out, np.broadcast(np.asarray(y, float), t).shape).copy()
 
-    return IntrinsicGraph(
-        phi,
-        lip_bound=H,
-        holder=(H, tau),
-        label=f"holder:H={H:g},tau={tau:g}",
-    )
+    return IntrinsicGraph(phi, label=f"holder:H={H:g},tau={tau:g}")
 
 
 def slab(threshold: float = 0.0) -> DomainOracle:
@@ -475,32 +393,3 @@ def parse_domain(spec: str):
     if name == "lift":
         return euclidean_lift(profile, scale=scale)
     return vertical_holder(H, tau)
-
-
-def intrinsic_lipschitz_ratio(
-    g: IntrinsicGraph, region: Rect, n_pairs: int = 10_000, seed: int = 0
-) -> float:
-    """Empirical intrinsic Lipschitz ratio over random pairs in the region.
-
-    Reports max |x-part| / box_norm(vertical part) of Phi(w')^-1 * Phi(w);
-    a finite stable value is evidence (not proof) of intrinsic Lipschitz
-    regularity.
-    """
-    rng = np.random.default_rng([seed, 0])
-    span_y = region.y1 - region.y0
-    span_t = region.t1 - region.t0
-    w1 = np.stack(
-        (region.y0 + rng.random(n_pairs) * span_y, region.t0 + rng.random(n_pairs) * span_t),
-        axis=-1,
-    )
-    w2 = np.stack(
-        (region.y0 + rng.random(n_pairs) * span_y, region.t0 + rng.random(n_pairs) * span_t),
-        axis=-1,
-    )
-    m = mul(inv(graph_map(g, w2)), graph_map(g, w1))
-    num = np.abs(m[..., 0])
-    den = box_norm(embed_vertical(proj_vertical(m)))
-    ok = den > 1e-12
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(num[ok] / den[ok]))

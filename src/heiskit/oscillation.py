@@ -5,9 +5,11 @@ the Lebesgue measure, within U, of the points whose membership in Omega
 changes under the vertical shift p -> p * (0, 0, s^2).  The oscillation
 coefficient of a ball averages the perimeter over shift scales s in (0, r]
 and normalises by r^4, which makes it invariant under left translations and
-dilations of the whole configuration.  vertical_perimeter, perimeter_profile
-and osc read one pass over a ball sample that yields the gap moments at
-every shift node and at their per-point average.
+dilations of the whole configuration.  One pass over a ball sample yields
+the gap moments at every shift node and at their per-point average;
+perimeter_profile is the one entry point to it on the midpoint nodes and
+returns the profile with osc, which osc and the osc-scan experiment read.
+vertical_perimeter reads the same pass at a single node.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .core import Ball, as_points
 from .quadrature import Estimate, SampleConfig, _ball_chunks, _estimate_from_moments, _map_chunks
-from .quadrature import _merge_moments, _moments, integrate_ball
+from .quadrature import _merge_moments, _moments
 
 __all__ = [
     "ScaleGrid",
@@ -31,8 +33,6 @@ __all__ = [
     "lp_vertical_perimeter",
     "DiniProfile",
     "dini_integral",
-    "DtBoundResult",
-    "dt_bound_check",
 ]
 
 
@@ -89,14 +89,6 @@ def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     return _estimate_from_moments(*_merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments)), ball.volume)
 
 
-def _profile_pass(omega, ball: Ball, cfg: SampleConfig, s_nodes: int) -> tuple[np.ndarray, Estimate]:
-    """(midpoint nodes s_j in (0, r], v(ball)(s_j) / r^4 with osc appended last)."""
-    r = ball.radius
-    mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
-    est = _perimeters(omega, ball, mids, cfg)
-    return mids, Estimate(est.value / r**4, est.stderr / r**4, est.n)
-
-
 def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Estimate:
     """Measure in the window of {chi(p) != chi(p * (0, 0, s^2))}.
 
@@ -111,15 +103,22 @@ def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Esti
 
 def perimeter_profile(
     omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-scale perimeter v(ball)(s_j) / r^4 at midpoint nodes s_j in (0, r].
+) -> tuple[np.ndarray, Estimate, Estimate]:
+    """Per-scale perimeter v(ball)(s_j) / r^4 at midpoint nodes s_j in (0, r],
+    and the oscillation coefficient, their average over the nodes.
 
-    One shared point sample serves every node, so the profile entries are
-    correlated but each carries its own Monte-Carlo stderr.  Returns
-    (s_nodes array, values, stderrs).
+    One shared point sample serves every node and the average, so the
+    entries are correlated but each carries its own Monte-Carlo stderr; the
+    average's is that of the per-point node average.  Returns (the nodes,
+    the profile with array value and stderr, osc).
     """
-    mids, est = _profile_pass(omega, ball, cfg, s_nodes)
-    return mids, est.value[:-1], est.stderr[:-1]
+    if s_nodes < 1:
+        raise ValueError("need at least 1 scale node")
+    r = ball.radius
+    mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
+    est = _perimeters(omega, ball, mids, cfg)
+    value, stderr = est.value / r**4, est.stderr / r**4
+    return mids, Estimate(value[:-1], stderr[:-1], est.n), Estimate(float(value[-1]), float(stderr[-1]), est.n)
 
 
 def osc(omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32) -> Estimate:
@@ -132,8 +131,7 @@ def osc(omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32) -> Estimate:
     """
     if s_nodes < 8:
         raise ValueError("need at least 8 scale nodes")
-    _, est = _profile_pass(omega, ball, cfg, s_nodes)
-    return Estimate(float(est.value[-1]), float(est.stderr[-1]), est.n)
+    return perimeter_profile(omega, ball, cfg, s_nodes)[2]
 
 
 @dataclass(frozen=True)
@@ -231,51 +229,3 @@ def dini_integral(
     total = float(np.sum(vals) * grid.dlog)
     stderr = float(np.sqrt(np.sum(errs**2)) * grid.dlog)
     return DiniProfile(total, stderr, radii, vals, errs, grid.dlog)
-
-
-@dataclass(frozen=True)
-class DtBoundResult:
-    lhs: Estimate
-    dt_sup: float
-    osc_big: Estimate
-    bound: float
-    ratio: float
-
-
-def dt_bound_check(omega, ball: Ball, psi, cfg: SampleConfig) -> DtBoundResult:
-    """Both sides of the t-derivative bound for bumps supported in the ball.
-
-    lhs = | r^-4 * integral over Omega of dt(psi) |, rhs building blocks are
-    the closed-form sup of |dt psi| and the oscillation of the ten-fold ball.
-    The support of psi is probe-checked against the ball.
-    """
-    from . import riesz  # local import; riesz depends on domains, not on us
-
-    if not isinstance(psi, riesz.BumpSpec):
-        raise TypeError("psi must be a bump specification")
-    if psi.kind != "psi_ball":
-        raise ValueError("the t-derivative bound applies to interior ball bumps")
-    if not np.allclose(psi.center, ball.center) or psi.radius > ball.radius * (1 + 1e-12):
-        raise ValueError("bump support must sit inside the integration ball")
-    # probe the sandwich: psi vanishes on a shell just outside its ball
-    probe = ball.center + np.array([[1.0001 * psi.radius, 0.0, 0.0]])
-    if float(riesz.bump(psi, probe)[0]) != 0.0:
-        raise ValueError("bump support leaks outside its declared ball")
-
-    r = ball.radius
-
-    def f(pts):
-        return omega.indicator(pts) * riesz.bump_dt(psi, pts)
-
-    inner = integrate_ball(f, ball, cfg)
-    lhs = Estimate(abs(inner.value) / r**4, inner.stderr / r**4, inner.n)
-    dt_sup = riesz.bump_dt_sup(psi)
-    big = osc(omega, Ball(ball.center, 10.0 * r), cfg.child(10), s_nodes=16)
-    bound = dt_sup * big.value
-    if bound == 0.0:
-        # degenerate configurations: call the ratio 0 when the left side is
-        # a statistical zero, infinite when it is significantly nonzero
-        ratio = 0.0 if lhs.value <= 3.0 * lhs.stderr else math.inf
-    else:
-        ratio = lhs.value / bound
-    return DtBoundResult(lhs=lhs, dt_sup=dt_sup, osc_big=big, bound=bound, ratio=ratio)

@@ -79,8 +79,9 @@ class Estimate:
     """A numerical integral with its statistical error.
 
     stderr is the sample standard deviation of the integrand divided by
-    sqrt(n), times the volume normalisation.  Inside the package value and
-    stderr may also be arrays of per-component estimates sharing one n.
+    sqrt(n), times the volume normalisation.  value and stderr may also be
+    arrays of per-component estimates sharing one n, as in the profile
+    that oscillation.perimeter_profile returns.
     """
 
     value: float

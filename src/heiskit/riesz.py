@@ -1,4 +1,4 @@
-"""Explicit convolution kernels, smooth truncations, and graph transforms.
+"""Explicit convolution kernels, smooth bumps, and truncated transforms on graphs.
 
 The fundamental solution of the horizontal Laplacian is G = koranyi^-2 (the
 multiplicative constant is fixed to 1 here; every comparison check in
@@ -6,7 +6,13 @@ this package is ratio-based, so the convention cancels).  The complex kernel
 is K = XG - i YG for the left-invariant horizontal fields
 X = d_x - (y/2) d_t and Y = d_y + (x/2) d_t; right-invariant analogues carry
 a 't' suffix.  All closed forms below were derived by hand from G and are
-validated against finite differences in the test suite.
+validated against finite differences in the test suite; the invariants
+experiment checks, by central differences along the frames, that G is
+harmonic for the left and right horizontal Laplacians and that the left
+and right horizontal divergences differ by the t-derivative of the torsion
+term.  testing_scan is the one sum of K and Kstar against a sampled graph
+measure: it multiplies both kernels by the smooth exterior cutoff at every
+truncation scale.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Ball, as_points, box_norm, dilate, inv, koranyi_norm, mul, point
+from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point
 from .domains import IntrinsicGraph, WeightedSample, _unit_normal, region_for_ball, surface_sample
 from .quadrature import Estimate, SampleConfig, _estimate_from_moments, _moments, integrate_box
 
@@ -35,10 +41,6 @@ __all__ = [
     "harmonicity_residual",
     "BumpSpec",
     "bump",
-    "bump_dt",
-    "bump_dt_sup",
-    "annulus_piece",
-    "truncated_riesz",
     "TestingScan",
     "testing_scan",
     "VectorField",
@@ -218,12 +220,6 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _smoothstep_d(u: np.ndarray) -> np.ndarray:
-    inside = (u > 0.0) & (u < 1.0)
-    u = np.clip(u, 0.0, 1.0)
-    return np.where(inside, 30.0 * u * u * (1.0 - u) ** 2, 0.0)
-
-
 @dataclass(frozen=True)
 class BumpSpec:
     """A smooth radial profile in the Koranyi norm of the rescaled argument.
@@ -260,13 +256,6 @@ class BumpSpec:
         return (_SQRT2_4, 2.0)  # zero edge, plateau edge
 
 
-def _bump_radial(spec: BumpSpec, p) -> tuple[np.ndarray, np.ndarray]:
-    """(koranyi radius u of the rescaled argument, t-factor d(u^4)/dt / (4u^3 r^2))."""
-    m = dilate(1.0 / spec.radius, mul(inv(point(*spec.center)), p))
-    u = koranyi_norm(m)
-    return u, m[..., 2]
-
-
 def _profile(spec: BumpSpec, u: np.ndarray) -> np.ndarray:
     a, b = spec._edges
     if spec.kind == "psi_ball":
@@ -274,58 +263,10 @@ def _profile(spec: BumpSpec, u: np.ndarray) -> np.ndarray:
     return np.where(u <= a, 0.0, _smoothstep((u - a) / (b - a)))
 
 
-def _profile_d(spec: BumpSpec, u: np.ndarray) -> np.ndarray:
-    a, b = spec._edges
-    if spec.kind == "psi_ball":
-        return -_smoothstep_d((b - u) / (b - a)) / (b - a)
-    return _smoothstep_d((u - a) / (b - a)) / (b - a)
-
-
 def bump(spec: BumpSpec, p) -> np.ndarray:
     """Evaluate the bump; sandwich inequalities hold pointwise by construction."""
-    u, _ = _bump_radial(spec, p)
-    return _profile(spec, u)
-
-
-def bump_dt(spec: BumpSpec, p) -> np.ndarray:
-    """Closed-form t-derivative of the bump.
-
-    With u the koranyi radius of the rescaled argument m, du/dt = 8 m_t /
-    (u^3 radius^2); the derivative lives on the transition shell only, so the
-    u = 0 singularity of the radius is never touched.
-    """
-    u, mt = _bump_radial(spec, p)
-    a, b = spec._edges
-    shell = (u > a) & (u < b)
-    du = np.where(shell, _profile_d(spec, u), 0.0)
-    u_safe = np.where(shell, u, 1.0)
-    return du * 8.0 * mt / (u_safe**3 * spec.radius**2)
-
-
-def bump_dt_sup(spec: BumpSpec) -> float:
-    """Tight upper bound for sup |dt bump|.
-
-    On the shell, |dt bump| = |P'(u)| 8 |m_t| / (u^3 r^2) and |m_t| <= u^2/4
-    with equality on the t-axis, so the sup equals max_u 2 |P'(u)| / (u r^2);
-    the 1-d maximum is resolved on a fine grid.
-    """
-    a, b = spec._edges
-    u = np.linspace(a, b, 20_001)
-    vals = 2.0 * np.abs(_profile_d(spec, u)) / u
-    return float(vals.max() / spec.radius**2)
-
-
-def annulus_piece(j: int, p) -> np.ndarray:
-    """Dyadic shell piece: exterior cutoff at scale 2^-j minus the one at 2^-j+1.
-
-    Summing pieces for j <= N telescopes to the exterior cutoff at 2^-N;
-    each piece is supported on the annulus between the metric balls of radii
-    2^-j and 2^-j+2.
-    """
-    eps_j = 2.0 ** (-j)
-    small = BumpSpec(radius=eps_j, kind="phi_eps_exterior")
-    big = BumpSpec(radius=2.0 * eps_j, kind="phi_eps_exterior")
-    return bump(small, p) - bump(big, p)
+    m = dilate(1.0 / spec.radius, mul(inv(point(*spec.center)), p))
+    return _profile(spec, koranyi_norm(m))
 
 
 # ---------------------------------------------------------------------------
@@ -334,58 +275,6 @@ def annulus_piece(j: int, p) -> np.ndarray:
 
 class SparseSampleWarning(UserWarning):
     """Surface sample spacing is coarse relative to the truncation radius."""
-
-
-def _spacing(sample: WeightedSample) -> Optional[float]:
-    if sample.region is None or sample.n == 0:
-        return None
-    return math.sqrt(sample.region.area / sample.n)
-
-
-def _truncation_weights(m: np.ndarray, eps: float, mode: str) -> np.ndarray:
-    """Per-sample kernel multipliers; zero inside the removed neighbourhood."""
-    if mode == "sharp":
-        return (box_norm(m) >= eps).astype(float)
-    if mode == "smooth":
-        spec = BumpSpec(radius=eps, kind="phi_eps_exterior")
-        return _profile(spec, koranyi_norm(m) / eps)
-    raise ValueError(f"unknown truncation mode {mode!r}")
-
-
-def truncated_riesz(
-    g: IntrinsicGraph,
-    f: Callable[[np.ndarray], np.ndarray],
-    p,
-    eps: float,
-    mode: str,
-    sample: WeightedSample,
-    adjoint: bool = False,
-) -> complex:
-    """Truncated singular integral of f against the sampled graph measure.
-
-    Sharp mode removes samples with box_norm(q^-1 p) < eps exactly; smooth
-    mode multiplies the kernel by the exterior cutoff at scale eps.  The
-    adjoint uses the reflected kernel Kstar(m) = K(m^-1).  A coarse sample
-    relative to eps (mean spacing above eps/4) triggers a warning, not an
-    error.
-    """
-    if eps <= 0.0:
-        raise ValueError("truncation scale must be positive")
-    spacing = _spacing(sample)
-    if spacing is not None and spacing > eps / 4.0:
-        warnings.warn(
-            f"surface sample spacing {spacing:.3g} exceeds eps/4 = {eps / 4.0:.3g} "
-            f"near the truncation radius (graph {g.label!r})",
-            SparseSampleWarning,
-            stacklevel=2,
-        )
-    p = as_points(p)
-    m = mul(inv(sample.points), p)
-    tw = _truncation_weights(m, eps, mode)
-    fvals = np.asarray(f(sample.points))
-    active = (tw > 0.0) & (fvals != 0.0)
-    kern = eval_kernel("Kstar" if adjoint else "K", m[active])
-    return complex(np.sum(kern * tw[active] * fvals[active] * sample.weights[active]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from heiskit.quadrature import SampleConfig
 # calibrated once on the built-in family suite and frozen
 K_BETA = 30.0          # oscillation vs beta comparison, enlargement 24
 K_PERIMETER = 0.005    # perimeter vs beta majorant
-K_SMOOTH_SHARP = 1.0   # smooth vs sharp truncation gap, flat family
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -208,11 +207,9 @@ def test_criterion_6_osc_vs_beta():
     for gi, g in enumerate(graphs):
         for k, r in enumerate((0.5, 1.0, 2.0)):
             cfg = SampleConfig(n=200_000, seed=5000 + 10 * gi + k)
-            mids, vals, errs = oscillation.perimeter_profile(
-                g, core.Ball(p0, r), cfg, s_nodes=16
-            )
-            i = int(np.argmax(vals))
-            vmax, emax = float(vals[i]), float(errs[i])
+            _, prof, _ = oscillation.perimeter_profile(g, core.Ball(p0, r), cfg, s_nodes=16)
+            i = int(np.argmax(prof.value))
+            vmax, emax = float(prof.value[i]), float(prof.stderr[i])
             big = core.Ball(p0, 24.0 * r)
             sample = domains.surface_sample(
                 g, domains.region_for_ball(big), 200_000, seed=cfg.child(3).seed
@@ -368,7 +365,7 @@ def _root_graph(c, extra_lift=0.0, label=""):
         out = c * np.sign(t) * np.sqrt(np.abs(t)) + extra_lift * np.abs(np.asarray(y, float))
         return np.broadcast_to(out, np.broadcast(np.asarray(y, float), t).shape).copy()
 
-    return domains.IntrinsicGraph(phi, lip_bound=1.0 + extra_lift, label=label or f"vroot:c={c:g}")
+    return domains.IntrinsicGraph(phi, label=label or f"vroot:c={c:g}")
 
 
 def test_criterion_10_perimeter_vs_beta():

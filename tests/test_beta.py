@@ -202,7 +202,7 @@ def test_beta_inf_matches_all_pairs(seed):
     res = beta.beta_inf(make_sample(pts), ball)
     assert res.value == pytest.approx(0.5 * pair_width(pts[:, :2]) / ball.radius, rel=1e-12)
     # the reported plane attains the value
-    dist = np.abs(core.dist_to_plane(pts, res.plane))
+    dist = np.abs(pts[:, :2] @ res.plane.normal - res.plane.offset)
     assert float(dist.max()) == pytest.approx(res.value * ball.radius, rel=1e-12)
 
 
@@ -299,7 +299,7 @@ def holder_like(c):
         out = c * np.sign(t) * np.sqrt(np.abs(t))
         return np.broadcast_to(out, np.broadcast(np.asarray(y, float), t).shape).copy()
 
-    return domains.IntrinsicGraph(phi, lip_bound=1.0, label=f"vroot:c={c:g}")
+    return domains.IntrinsicGraph(phi, label=f"vroot:c={c:g}")
 
 
 def test_osc_beta_compare_positive_and_dilation_stable():
@@ -340,7 +340,6 @@ def test_carleson_scan_flat_and_translation():
     b, c = 0.4, -0.3
     shifted = domains.IntrinsicGraph(
         lambda y, t: gh.phi(np.asarray(y, float) - b, np.asarray(t, float) - c),
-        lip_bound=gh.lip_bound,
         label="shifted",
     )
     p0 = core.mul(core.point(0, b, c), core.point(0, 0, 0))

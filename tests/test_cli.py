@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from heiskit import cli, core, domains
+from heiskit import cli, core, domains, riesz
 
 
 def test_parse_list_and_ranges():
@@ -115,6 +115,18 @@ def test_bad_values_name_their_key(tmp_path, capsys):
         assert cli.main(["--config", str(good), "dini", "--samples", "5"]) == 2
     run.assert_not_called()
     assert "config error: --config " in capsys.readouterr().err
+    # a non-finite center is not turned into a number, nor into another key's error
+    for argv in (
+        ["osc-scan", "--domain", "slab:t>0", "--center", "nan,0,0", "--samples", "2000"],
+        ["osc-scan", "--domain", "slab:t>0", "--center", "inf,0,0", "--samples", "2000"],
+        ["dini", "--domain", "slab:t>0", "--center", "0,0,nan", "--scales", "1:2:1"],
+        ["beta-scan", "--center", "nan,0,0"],
+        ["riesz-test", "--center", "nan,0,0"],
+    ):
+        with mock.patch.object(cli, "run", return_value=0) as run:
+            assert cli.main(argv) == 2
+        run.assert_not_called()
+        assert "config error: center: coordinates must be finite" in capsys.readouterr().err
 
 
 def test_every_setting_is_a_flag_of_every_experiment():
@@ -254,6 +266,15 @@ def test_invariants_experiment(tmp_path):
     assert payload["summary"]["passed"] is True
     assert payload["summary"]["failures"] == []
     assert all(row[-1] for row in payload["rows"])
+    # each row reports the points it ran on: 10,000 group and metric
+    # instances, the kernel and finite-difference rows the same <= 500
+    counts = {row[0]: row[1] for row in payload["rows"]}
+    assert counts["group associativity"] == counts["triangle inequality"] == 10_000
+    kernel_rows = [name for name in counts if name.startswith("kernel ")]
+    assert len(kernel_rows) == len(riesz.KERNEL_DEGREES) + 1
+    fd_rows = ["harmonicity of G in the left and right frames", "left/right divergence identity"]
+    kp = {counts[name] for name in kernel_rows + fd_rows}
+    assert len(kp) == 1 and 400 < kp.pop() <= 500
 
 
 def test_beta_scan_runs(tmp_path):

@@ -128,7 +128,6 @@ def test_rotation():
 
 def test_projections():
     np.testing.assert_allclose(core.proj_vertical(core.point(2, 3, 0)), [3, 3])
-    assert core.proj_horizontal(core.point(2, 3, 0)) == 2.0
     w = core.proj_vertical(core.point(0, 1.5, -0.4))
     np.testing.assert_allclose(w, [1.5, -0.4])
 
@@ -136,9 +135,14 @@ def test_projections():
 @given(pts)
 @settings(deadline=None, max_examples=200, derandomize=True)
 def test_projection_recomposition(p):
+    # p splits as w * (x, 0, 0) with w in the (y, t)-plane
     w = core.embed_vertical(core.proj_vertical(p))
-    x = core.proj_horizontal(p)
-    np.testing.assert_allclose(core.mul(w, core.point(x, 0, 0)), p, atol=1e-12)
+    np.testing.assert_allclose(core.mul(w, core.point(p[0], 0, 0)), p, atol=1e-12)
+
+
+def plane_distance(p, plane):
+    """The closed-form metric distance to a vertical plane (see heiskit.beta)."""
+    return np.abs(np.asarray(p)[..., :2] @ plane.normal - plane.offset)
 
 
 def test_plane_normalization():
@@ -150,14 +154,15 @@ def test_plane_normalization():
     rng = np.random.default_rng(2)
     probes = rng.uniform(-2, 2, (100, 3))
     np.testing.assert_allclose(
-        core.dist_to_plane(probes, pl), core.dist_to_plane(probes, same)
+        plane_distance(probes, pl), plane_distance(probes, same)
     )
 
 
 def test_dist_to_plane_values():
-    assert core.dist_to_plane(core.point(2, 0, 0), core.YT_PLANE) == 2.0
+    yt_plane = core.VerticalPlane(0.0, 0.0)
+    assert plane_distance(core.point(2, 0, 0), yt_plane) == 2.0
     on_plane = core.point(0, 1.3, -2.0)
-    assert core.dist_to_plane(on_plane, core.YT_PLANE) == 0.0
+    assert plane_distance(on_plane, yt_plane) == 0.0
 
 
 def test_dist_to_plane_invariant_under_plane_translations():
@@ -165,8 +170,8 @@ def test_dist_to_plane_invariant_under_plane_translations():
     p = rng.uniform(-2, 2, (200, 3))
     w = core.embed_vertical(rng.uniform(-2, 2, (200, 2)))
     np.testing.assert_allclose(
-        core.dist_to_plane(core.mul(w, p), core.YT_PLANE),
-        core.dist_to_plane(p, core.YT_PLANE),
+        plane_distance(core.mul(w, p), core.VerticalPlane(0.0, 0.0)),
+        plane_distance(p, core.VerticalPlane(0.0, 0.0)),
         atol=1e-12,
     )
 
@@ -178,7 +183,7 @@ def test_dist_to_plane_matches_grid_minimisation():
     cth, sth = math.cos(plane.theta), math.sin(plane.theta)
     rng = np.random.default_rng(4)
     for p in rng.uniform(-1.5, 1.5, (5, 3)):
-        closed = core.dist_to_plane(p, plane)
+        closed = plane_distance(p, plane)
 
         def min_over_tau(bs, taus):
             # distance to the coset points (z(b), tau); at fixed b it is
@@ -222,3 +227,6 @@ def test_ball_validation():
         core.Ball(core.point(0, 0, 0), 0.0)
     with pytest.raises(ValueError):
         core.Ball(np.zeros((2, 3)), 1.0)
+    for bad in (core.point(math.nan, 0, 0), core.point(0, 0, math.inf), core.point(0, -math.inf, 0)):
+        with pytest.raises(ValueError, match="center must be finite"):
+            core.Ball(bad, 1.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from heiskit import core, domains, riesz
 from heiskit.oscillation import (
     ScaleGrid,
     dini_integral,
-    dt_bound_check,
     lp_vertical_perimeter,
     osc,
     perimeter_profile,
     vertical_perimeter,
 )
-from heiskit.quadrature import SampleConfig, _ball_chunks, _map_chunks
+from heiskit.quadrature import Estimate, SampleConfig, _ball_chunks, _map_chunks, integrate_ball
 
 BALL = core.Ball(core.point(0, 0, 0), 1.0)
 SLAB = domains.slab(0.0)
@@ -100,7 +100,8 @@ def test_osc_approximate_monotonicity():
 
 
 def test_perimeter_profile_matches_single_scale():
-    mids, vals, errs = perimeter_profile(SLAB, BALL, CFG, s_nodes=8)
+    mids, prof, _ = perimeter_profile(SLAB, BALL, CFG, s_nodes=8)
+    vals, errs = prof.value, prof.stderr
     k = 3
     single = vertical_perimeter(SLAB, BALL, mids[k], SampleConfig(n=100_000, seed=77))
     assert abs(vals[k] - single.value / BALL.radius**4) <= 3 * math.hypot(errs[k], single.stderr)
@@ -112,8 +113,10 @@ def test_one_pass_serves_profile_osc_and_single_scale():
     dom = domains.vertical_holder(1.0, 0.5).domain()
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=6)
-    mids, vals, errs = perimeter_profile(dom, ball, cfg, s_nodes=16)
+    mids, prof, prof_osc = perimeter_profile(dom, ball, cfg, s_nodes=16)
+    vals, errs = prof.value, prof.stderr
     est = osc(dom, ball, cfg, s_nodes=16)
+    assert est == prof_osc
     assert est.value == pytest.approx(vals.mean(), rel=1e-12)
     assert 0.0 < est.stderr <= errs.max()
     for j in (0, 7, 15):
@@ -127,7 +130,8 @@ def test_perimeter_profile_moments_match_one_pass():
     # concatenated stream of the same nodes
     dom = domains.vertical_holder(1.0, 0.5).domain()
     cfg = SampleConfig(n=150_000, seed=5)
-    mids, vals, errs = perimeter_profile(dom, BALL, cfg, s_nodes=4)
+    mids, prof, _ = perimeter_profile(dom, BALL, cfg, s_nodes=4)
+    vals, errs = prof.value, prof.stderr
     pts = np.concatenate(_map_chunks(*_ball_chunks(BALL, cfg), lambda p: p))
     base = dom.indicator(pts)
     scale = BALL.volume / BALL.radius**4
@@ -136,6 +140,12 @@ def test_perimeter_profile_moments_match_one_pass():
         assert v == pytest.approx(scale * d.mean(), rel=1e-12)
         assert e == pytest.approx(scale * np.std(d, ddof=1) / math.sqrt(len(d)), rel=1e-12)
         assert v > 0.0
+
+
+@pytest.mark.parametrize("s_nodes", [0, -3])
+def test_perimeter_profile_rejects_no_nodes(s_nodes):
+    with pytest.raises(ValueError, match="scale node"):
+        perimeter_profile(SLAB, BALL, CFG, s_nodes=s_nodes)
 
 
 def test_lp_vertical_perimeter():
@@ -166,6 +176,95 @@ def test_dini_integral():
     long = dini_integral(dom, core.point(0, 0, 0), ScaleGrid(0.25, 4.0, 1), cfg)
     assert short.value <= long.value + 3 * math.hypot(short.stderr, long.stderr)
     assert np.all(long.osc_values >= 0.0)
+
+
+def _smoothstep_d(u):
+    inside = (u > 0.0) & (u < 1.0)
+    u = np.clip(u, 0.0, 1.0)
+    return np.where(inside, 30.0 * u * u * (1.0 - u) ** 2, 0.0)
+
+
+def _profile_d(spec, u):
+    """Derivative in u of the radial profile riesz._profile."""
+    a, b = spec._edges
+    if spec.kind == "psi_ball":
+        return -_smoothstep_d((b - u) / (b - a)) / (b - a)
+    return _smoothstep_d((u - a) / (b - a)) / (b - a)
+
+
+def bump_dt(spec, p):
+    """Closed-form t-derivative of the bump.
+
+    With u the koranyi radius of the rescaled argument m, du/dt = 8 m_t /
+    (u^3 radius^2); the derivative lives on the transition shell only, so the
+    u = 0 singularity of the radius is never touched.
+    """
+    m = core.dilate(1.0 / spec.radius, core.mul(core.inv(core.point(*spec.center)), p))
+    u = core.koranyi_norm(m)
+    a, b = spec._edges
+    shell = (u > a) & (u < b)
+    du = np.where(shell, _profile_d(spec, u), 0.0)
+    u_safe = np.where(shell, u, 1.0)
+    return du * 8.0 * m[..., 2] / (u_safe**3 * spec.radius**2)
+
+
+def bump_dt_sup(spec):
+    """Tight upper bound for sup |dt bump|.
+
+    On the shell, |dt bump| = |P'(u)| 8 |m_t| / (u^3 r^2) and |m_t| <= u^2/4
+    with equality on the t-axis, so the sup equals max_u 2 |P'(u)| / (u r^2);
+    the 1-d maximum is resolved on a fine grid.
+    """
+    a, b = spec._edges
+    u = np.linspace(a, b, 20_001)
+    vals = 2.0 * np.abs(_profile_d(spec, u)) / u
+    return float(vals.max() / spec.radius**2)
+
+
+@dataclass(frozen=True)
+class DtBoundResult:
+    lhs: Estimate
+    dt_sup: float
+    osc_big: Estimate
+    bound: float
+    ratio: float
+
+
+def dt_bound_check(omega, ball, psi, cfg):
+    """Both sides of the t-derivative bound for bumps supported in the ball.
+
+    lhs = | r^-4 * integral over Omega of dt(psi) |, rhs building blocks are
+    the closed-form sup of |dt psi| and the oscillation of the ten-fold ball.
+    The support of psi is probe-checked against the ball.
+    """
+    if not isinstance(psi, riesz.BumpSpec):
+        raise TypeError("psi must be a bump specification")
+    if psi.kind != "psi_ball":
+        raise ValueError("the t-derivative bound applies to interior ball bumps")
+    if not np.allclose(psi.center, ball.center) or psi.radius > ball.radius * (1 + 1e-12):
+        raise ValueError("bump support must sit inside the integration ball")
+    # probe the sandwich: psi vanishes on a shell just outside its ball
+    probe = ball.center + np.array([[1.0001 * psi.radius, 0.0, 0.0]])
+    if float(riesz.bump(psi, probe)[0]) != 0.0:
+        raise ValueError("bump support leaks outside its declared ball")
+
+    r = ball.radius
+
+    def f(pts):
+        return omega.indicator(pts) * bump_dt(psi, pts)
+
+    inner = integrate_ball(f, ball, cfg)
+    lhs = Estimate(abs(inner.value) / r**4, inner.stderr / r**4, inner.n)
+    dt_sup = bump_dt_sup(psi)
+    big = osc(omega, core.Ball(ball.center, 10.0 * r), cfg.child(10), s_nodes=16)
+    bound = dt_sup * big.value
+    if bound == 0.0:
+        # degenerate configurations: call the ratio 0 when the left side is
+        # a statistical zero, infinite when it is significantly nonzero
+        ratio = 0.0 if lhs.value <= 3.0 * lhs.stderr else math.inf
+    else:
+        ratio = lhs.value / bound
+    return DtBoundResult(lhs=lhs, dt_sup=dt_sup, osc_big=big, bound=bound, ratio=ratio)
 
 
 def test_dt_bound_flat():

@@ -6,12 +6,9 @@ import pytest
 
 from heiskit import core, domains, riesz
 from heiskit.quadrature import SampleConfig
+from test_oscillation import bump_dt, bump_dt_sup
 
 RNG = np.random.default_rng(123)
-
-# calibrated once on the flat family and frozen; the smooth and sharp
-# truncations differ by a maximal-function-sized amount
-K_M = 1.0
 
 
 def random_points(n, low=-2.0, high=2.0, min_norm=1e-2):
@@ -141,8 +138,8 @@ def test_bump_dt_scaling_and_sup():
     for r in (0.25, 1.0, 4.0):
         spec = riesz.BumpSpec(radius=r)
         probes = core.dilate(r, RNG.uniform(-1.2, 1.2, (100_000, 3)))
-        emp = float(np.max(np.abs(riesz.bump_dt(spec, probes))))
-        bound = riesz.bump_dt_sup(spec)
+        emp = float(np.max(np.abs(bump_dt(spec, probes))))
+        bound = bump_dt_sup(spec)
         assert emp <= bound * (1 + 1e-9)
         sups.append(bound * r * r)
     assert max(sups) - min(sups) <= 1e-9 * max(sups)  # exact r^-2 scaling
@@ -157,15 +154,17 @@ def test_bump_dt_matches_fd():
     dn = pts.copy()
     dn[:, 2] -= h
     fd = (riesz.bump(spec, up) - riesz.bump(spec, dn)) / (2 * h)
-    assert np.max(np.abs(fd - riesz.bump_dt(spec, pts))) <= 1e-6
+    assert np.max(np.abs(fd - bump_dt(spec, pts))) <= 1e-6
 
 
 def test_partition_of_exterior_cutoff():
     N = 4
     pts = random_points(5000, min_norm=1e-3)
     total = np.zeros(len(pts))
+    cutoff = lambda eps: riesz.bump(riesz.BumpSpec(radius=eps, kind="phi_eps_exterior"), pts)
     for j in range(-9, N + 1):
-        piece = riesz.annulus_piece(j, pts)
+        # the exterior cutoff at scale 2^-j minus the one at 2^-j+1
+        piece = cutoff(2.0**-j) - cutoff(2.0 ** (-j + 1))
         bn = core.box_norm(pts)
         outside = (bn <= 2.0**-j) | (bn >= 2.0 ** (-j + 2))
         assert np.all(piece[outside] == 0.0)  # supported on the dyadic annulus
@@ -174,35 +173,9 @@ def test_partition_of_exterior_cutoff():
     assert np.max(np.abs(total - target)) <= 4 * np.spacing(1.0)
 
 
-def flat_sample(n=200_000, seed=1, ball=None):
-    g = domains.flat(0.0, 0.0)
-    ball = ball or core.Ball(core.point(0, 0, 0), 1.0)
-    sample = domains.surface_sample(g, domains.region_for_ball(ball), n, seed=seed)
-    return g, ball, sample
-
-
-def test_truncated_riesz_zero_function():
-    g, ball, sample = flat_sample(n=10_000)
-    f = lambda q: np.zeros(len(q), dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", riesz.SparseSampleWarning)
-        assert riesz.truncated_riesz(g, f, ball.center, 0.25, "sharp", sample) == 0
-
-
-def test_truncated_riesz_validation_and_warning():
-    g, ball, sample = flat_sample(n=2_000)
-    f = lambda q: np.ones(len(q), dtype=complex)
-    with pytest.raises(ValueError):
-        riesz.truncated_riesz(g, f, ball.center, -1.0, "sharp", sample)
-    with pytest.warns(riesz.SparseSampleWarning):
-        riesz.truncated_riesz(g, f, ball.center, 0.01, "sharp", sample)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        riesz.truncated_riesz(g, f, ball.center, 3.0, "sharp", sample)  # no warning
-
-
 def test_flat_centered_symmetry_cancels():
-    g, ball, sample = flat_sample(n=200_000, seed=3)
+    g = domains.flat(0.0, 0.0)
+    ball = core.Ball(core.point(0, 0, 0), 1.0)
     scan = riesz.testing_scan(g, [ball], [0.5, 0.25], [ball.center], n=200_000, seed=3)
     for row in scan.rows:
         assert abs(row.op) <= 3 * row.op_stderr
@@ -219,19 +192,6 @@ def test_testing_scan_rejects_nonpositive_eps_before_sampling(monkeypatch, eps_g
     ball = core.Ball(core.point(0, 0, 0), 1.0)
     with pytest.raises(ValueError, match="eps grid"):
         riesz.testing_scan(domains.flat(0.0, 0.0), [ball], eps_grid, [ball.center], n=1000)
-
-
-def test_smooth_vs_sharp_gap():
-    g, ball, sample = flat_sample(n=400_000, seed=1)
-    psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius)
-    nu = domains.normal_nu(g, sample.w)
-    f = lambda q: riesz.bump(psi, q) * nu
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", riesz.SparseSampleWarning)
-        for eps in (0.5, 0.25, 0.125, 0.0625):
-            sm = riesz.truncated_riesz(g, f, ball.center, eps, "smooth", sample)
-            sh = riesz.truncated_riesz(g, f, ball.center, eps, "sharp", sample)
-            assert abs(sm - sh) <= K_M * 1.0
 
 
 def test_adjoint_bilinear_identity():
@@ -253,13 +213,14 @@ def test_adjoint_bilinear_identity():
     lhs = np.sum(
         np.sum(kern * (fvals * sample.weights)[:, None], axis=0) * gvals * sample.weights
     )
+    # the adjoint side, point by point, with the reflected kernel
+    # Kstar(m) = K(m^-1) at m = q_j^-1 p_i, the sharp truncation as above
     rhs_op = np.zeros(sample.n, dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", riesz.SparseSampleWarning)
-        for i in range(sample.n):
-            rhs_op[i] = riesz.truncated_riesz(
-                g, lambda q: gvals, sample.points[i], eps, "sharp", sample, adjoint=True
-            )
+    for i in range(sample.n):
+        m = core.mul(core.inv(sample.points), sample.points[i])
+        active = core.box_norm(m) >= eps
+        kern = riesz.eval_kernel("Kstar", m[active])
+        rhs_op[i] = np.sum(kern * gvals[active] * sample.weights[active])
     rhs = np.sum(fvals * sample.weights * rhs_op)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
@@ -312,7 +273,7 @@ def dense_testing_scan(g, balls, eps_grid, points, n, seed, patch_factor=8.0):
         region = domains.region_for_ball(ball)
         coarse = domains.surface_sample(g, region, n, seed=riesz._scan_seed(seed, 2 * bi))
         psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
-        f_coarse = riesz.bump(psi, coarse.points) * domains.normal_nu(g, coarse.w)
+        f_coarse = riesz.bump(psi, coarse.points) * domains._unit_normal(domains.intrinsic_gradient(g, coarse.w))
         for pi, p in enumerate(pts):
             tag = 1000 + 16 * (bi * len(pts) + pi)
             ladder = []
@@ -325,7 +286,8 @@ def dense_testing_scan(g, balls, eps_grid, points, n, seed, patch_factor=8.0):
             for k, patch in enumerate(patches):
                 sample_k = domains.surface_sample(g, patch, n, seed=riesz._scan_seed(seed, tag + k))
                 mask = None if k == 0 else ~patches[k - 1].contains_w(sample_k.w)
-                layers.append((sample_k, riesz.bump(psi, sample_k.points) * domains.normal_nu(g, sample_k.w), mask))
+                nu = domains._unit_normal(domains.intrinsic_gradient(g, sample_k.w))
+                layers.append((sample_k, riesz.bump(psi, sample_k.points) * nu, mask))
             layers.append((coarse, f_coarse, ~patches[-1].contains_w(coarse.w) if patches else None))
             strata = []
             spacings = []
