@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.spatial import ConvexHull, QhullError
 
 from .core import Ball, VerticalPlane, as_points
 from .domains import IntrinsicGraph, WeightedSample, region_for_ball, surface_sample
@@ -129,6 +127,8 @@ def _offset_solve(a: np.ndarray, w: np.ndarray, p_exp: float) -> tuple[float, fl
     lo, hi = float(a.min()), float(a.max())
     if lo == hi:
         return lo, 0.0
+    from scipy.optimize import minimize_scalar  # scipy loads on first use, not with the package
+
     res = minimize_scalar(
         lambda c: float(np.sum(w * np.abs(a - c) ** p_exp)),
         bounds=(lo, hi),
@@ -156,6 +156,8 @@ def _plane_search(z: np.ndarray, w: np.ndarray, p_exp: float, coarse: bool) -> t
     best = int(np.argmin(objs))  # first minimum: smallest-theta tie break
     theta, offset, obj = float(thetas[best]), float(offs[best]), float(objs[best])
     if not coarse:
+        from scipy.optimize import minimize_scalar
+
         step = math.pi / m
         res = minimize_scalar(
             lambda th: _direction_objective(z, w, th, p_exp)[1],
@@ -185,6 +187,8 @@ def _l2_plane(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
 
 def _linf_plane(z: np.ndarray) -> tuple[float, float, float]:
     """(theta, offset, half width) of the plane with the least largest distance."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         v = z[ConvexHull(z).vertices]
     except QhullError:  # fewer than 3 points, or all on one line

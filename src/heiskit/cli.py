@@ -52,20 +52,29 @@ def _parse_number(tok: str) -> float:
     tok = tok.strip()
     if "^" in tok:
         base, _, exp = tok.partition("^")
-        return float(base) ** float(exp)
+        try:
+            return float(base) ** float(exp)
+        except OverflowError:
+            raise ConfigError(f"{tok!r} overflows a float") from None
     return float(tok)
 
 
+def _positive(value: float) -> float:
+    """A radius, eps or scale bound: positive and finite, else a config error."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ConfigError(f"must be positive and finite, got {value!r}")
+    return value
+
+
 def _parse_list(text: str) -> tuple[float, ...]:
-    """Comma list or an octave range 'a..b' (doubling or halving)."""
+    """Comma list or an octave range 'a..b' (doubling or halving) of
+    positive finite values."""
     text = text.strip()
     if not text:
         return ()
     if ".." in text:
         a, _, b = text.partition("..")
-        start, stop = _parse_number(a), _parse_number(b)
-        if start <= 0 or stop <= 0:
-            raise ConfigError("range endpoints must be positive")
+        start, stop = _positive(_parse_number(a)), _positive(_parse_number(b))
         ratio = 2.0 if stop >= start else 0.5
         vals = [start]
         guard = 0
@@ -75,7 +84,7 @@ def _parse_list(text: str) -> tuple[float, ...]:
             if guard > 200:
                 raise ConfigError(f"range {text!r} spans too many octaves")
         return tuple(vals)
-    return tuple(_parse_number(tok) for tok in text.split(","))
+    return tuple(_positive(_parse_number(tok)) for tok in text.split(","))
 
 
 def _parse_center(text: str) -> tuple[float, float, float]:
@@ -92,9 +101,9 @@ def _parse_scales(text: str) -> tuple[float, float, int]:
     parts = text.replace(" ", "").split(":")
     if len(parts) != 3:
         raise ConfigError(f"must look like smin:smax:per_octave, got {text!r}")
-    smin, smax = _parse_number(parts[0]), _parse_number(parts[1])
+    smin, smax = _positive(_parse_number(parts[0])), _positive(_parse_number(parts[1]))
     per = int(parts[2])
-    if not (0 < smin < smax) or per < 1:
+    if not smin < smax or per < 1:
         raise ConfigError(f"invalid scale grid {text!r}")
     return smin, smax, per
 
@@ -108,7 +117,7 @@ def _fmt_floats(vals) -> str:
 _SETTINGS = (
     ("domain", "domain", str.strip, str, "family:key=value,..."),
     ("center", "center", _parse_center, _fmt_floats, "x,y,t"),
-    ("radius", "radius", float, repr, "r"),
+    ("radius", "radius", lambda text: _positive(float(text)), repr, "r"),
     ("radii", "radii", _parse_list, _fmt_floats, "a,b,... or a..b"),
     ("samples", "samples", int, str, "n"),
     ("seed", "seed", int, str, "n"),

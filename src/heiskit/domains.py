@@ -3,8 +3,16 @@
 A domain oracle is just a deterministic, vectorised indicator function with a
 label.  Intrinsic graphs are given by a parametrising function phi(y, t) over
 the canonical vertical plane (the (y, t)-plane); their super-graphs are the
-open sets {x > phi(proj_vertical(x, y, t))}; a graph carries only phi and a
-label.  Surface sampling realises the graph surface measure up to one global
+open sets {x > phi(proj_vertical(x, y, t))}; a graph carries phi and a label.
+
+Both may also carry a crossing: crossing(x, y) is the t at which the vertical
+line over (x, y) crosses the boundary, +-inf where it never does.  Only a set
+whose every vertical line crosses the boundary at most once has one; the
+vertical perimeter then integrates each line in closed form (see
+oscillation).  Every built-in family has it: the slab at its threshold, flat
+and lift graphs nowhere (phi does not depend on t), and the Hoelder graph
+where phi(y, t + x y / 2) = x; complement keeps it and transform maps it.
+Surface sampling realises the graph surface measure up to one global
 multiplicative constant via the area formula weight sqrt(1 + grad^2), and
 keeps the intrinsic gradient behind each weight, from which _unit_normal
 forms the unit normal where a caller reads it.
@@ -13,7 +21,7 @@ forms the unit normal where a caller reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,19 +54,29 @@ class DomainOracle:
     """A measurable set, exposed through its indicator function.
 
     indicator maps an (..., 3) point array to {0, 1} values (any dtype that
-    casts to float) and must be deterministic.
+    casts to float) and must be deterministic.  crossing, if set, is the
+    fibre crossing of the module docstring; it is assigned after
+    construction, so DomainOracle(indicator, label) stays the whole
+    constructor (the benchmark's tracer wraps it).
     """
 
     indicator: Callable[[np.ndarray], np.ndarray]
     label: str
+    crossing: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = field(default=None, init=False)
 
     def __call__(self, p) -> np.ndarray:
         return np.asarray(self.indicator(as_points(p)), dtype=float)
 
 
+def _oracle(indicator, label: str, crossing) -> DomainOracle:
+    omega = DomainOracle(indicator, label)
+    omega.crossing = crossing
+    return omega
+
+
 def complement(omega: DomainOracle) -> DomainOracle:
-    return DomainOracle(lambda p: 1.0 - np.asarray(omega.indicator(p), dtype=float),
-                        label=f"complement({omega.label})")
+    return _oracle(lambda p: 1.0 - np.asarray(omega.indicator(p), dtype=float),
+                   f"complement({omega.label})", omega.crossing)
 
 
 def transform(omega: DomainOracle, q=None, lam: float = 1.0) -> DomainOracle:
@@ -72,18 +90,30 @@ def transform(omega: DomainOracle, q=None, lam: float = 1.0) -> DomainOracle:
     def indicator(p):
         return omega.indicator(mul(qi, core.dilate(1.0 / lam, p)))
 
-    return DomainOracle(indicator, label=f"moved({omega.label})")
+    crossing = None
+    if omega.crossing is not None:
+        qx, qy, qt = (float(v) for v in q)
+
+        def crossing(x, y):
+            # the line over (x, y) maps onto the line over (x/lam - qx,
+            # y/lam - qy), its t moving to t/lam^2 - qt - (qx y - x qy)/(2 lam)
+            inner = omega.crossing(x / lam - qx, y / lam - qy)
+            return lam * lam * (inner + qt + (qx * y - x * qy) / (2.0 * lam))
+
+    return _oracle(indicator, f"moved({omega.label})", crossing)
 
 
 @dataclass
 class IntrinsicGraph:
     """Graph data for phi: (y, t) -> x over the canonical vertical plane.
 
-    phi must be vectorised (arrays in, array out).
+    phi must be vectorised (arrays in, array out); crossing, if given, is
+    the fibre crossing of the module docstring.
     """
 
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = "graph"
+    crossing: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def indicator(self, p) -> np.ndarray:
         """Super-graph indicator; the graph itself (x == phi) is excluded."""
@@ -94,8 +124,6 @@ class IntrinsicGraph:
     def __call__(self, p) -> np.ndarray:
         return self.indicator(p)
 
-    def domain(self) -> DomainOracle:
-        return DomainOracle(self.indicator, label=self.label)
 
 def graph_map(g: IntrinsicGraph, w) -> np.ndarray:
     """Graph point (0, y, t) * (phi(y, t), 0, 0) for plane coordinates w."""
@@ -254,6 +282,15 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
 # Built-in families
 
 
+def _constant_crossing(value: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Crossing at the same t over every (x, y); inf for no crossing at all."""
+
+    def crossing(x, y):
+        return np.full(np.broadcast(x, y).shape, value)
+
+    return crossing
+
+
 def flat(theta: float = 0.0, offset: float = 0.0) -> IntrinsicGraph:
     """Vertical half-space bounded by the plane with normal angle theta.
 
@@ -271,7 +308,8 @@ def flat(theta: float = 0.0, offset: float = 0.0) -> IntrinsicGraph:
     def phi(y, t):
         return a * np.asarray(y, dtype=float) + b
 
-    return IntrinsicGraph(phi, label=f"flat:theta={plane.theta:g},offset={plane.offset:g}")
+    return IntrinsicGraph(phi, label=f"flat:theta={plane.theta:g},offset={plane.offset:g}",
+                          crossing=_constant_crossing(math.inf))
 
 
 _PHI0: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -300,7 +338,7 @@ def euclidean_lift(phi0, scale: float = 1.0) -> IntrinsicGraph:
     def phi(y, t):
         return scale * np.asarray(fn(np.asarray(y, dtype=float)), dtype=float)
 
-    return IntrinsicGraph(phi, label=f"lift:phi0={name},scale={scale:g}")
+    return IntrinsicGraph(phi, label=f"lift:phi0={name},scale={scale:g}", crossing=_constant_crossing(math.inf))
 
 
 def vertical_holder(H: float, tau: float) -> IntrinsicGraph:
@@ -331,7 +369,17 @@ def vertical_holder(H: float, tau: float) -> IntrinsicGraph:
         out = amp * np.sign(t) * mag
         return np.broadcast_to(out, np.broadcast(np.asarray(y, float), t).shape).copy()
 
-    return IntrinsicGraph(phi, label=f"holder:H={H:g},tau={tau:g}")
+    def crossing(x, y):
+        # phi increases in its t argument w = t + x y / 2 and equals x at
+        # w = sgn(x) g(|x| / amp), g inverting the two powers; at tau = 1
+        # (b = 0) phi never exceeds amp, so |x| > amp is never crossed
+        x = np.asarray(x, dtype=float)
+        u = np.abs(x) / amp
+        with np.errstate(over="ignore"):
+            g = np.where(u <= 1.0, u ** (1.0 / a), u ** (1.0 / b) if b > 0.0 else math.inf)
+        return np.sign(x) * g - 0.5 * x * np.asarray(y, dtype=float)
+
+    return IntrinsicGraph(phi, label=f"holder:H={H:g},tau={tau:g}", crossing=crossing)
 
 
 def slab(threshold: float = 0.0) -> DomainOracle:
@@ -341,7 +389,7 @@ def slab(threshold: float = 0.0) -> DomainOracle:
     def indicator(p):
         return (as_points(p)[..., 2] > threshold).astype(float)
 
-    return DomainOracle(indicator, label=f"slab:t>{threshold:g}")
+    return _oracle(indicator, f"slab:t>{threshold:g}", _constant_crossing(threshold))
 
 
 def parse_domain(spec: str):

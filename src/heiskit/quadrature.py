@@ -6,8 +6,8 @@ from an independent stream seeded by (seed, i), and partial results are
 reduced in chunk order.  Running chunks in parallel therefore reproduces the
 serial result bit for bit; the worker count comes from the HEISKIT_WORKERS
 environment variable (default 1).  One chunk map owns that thread pool; it
-runs integrate_ball, integrate_box, the shifted-indicator pass of oscillation
-and domains.surface_sample.  Every mean and stderr in the package comes from
+runs integrate_ball, integrate_box, the gap pass of oscillation and
+domains.surface_sample.  Every mean and stderr in the package comes from
 one accumulator: _moments, _merge_moments and _estimate_from_moments.
 """
 

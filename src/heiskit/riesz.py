@@ -334,13 +334,15 @@ def testing_scan(
     projects to its own parameter; so a patch disjoint from that rectangle
     adds exactly 0 and is not drawn, while the other strata keep their own
     seeded streams.  The zeros left out enter each stratum's stderr in
-    closed form.  An empty eps grid, or an eps <= 0, raises ValueError.
+    closed form.  An empty eps grid, or an eps that is not positive and
+    finite, raises ValueError.
     """
     rows: list[TestingScanRow] = []
     eps_grid = [float(e) for e in eps_grid]
-    # the ladder doubles from a multiple of the smallest eps, so it must be > 0
-    if not eps_grid or not all(e > 0.0 for e in eps_grid):
-        raise ValueError(f"eps grid must be non-empty with every eps > 0, got {eps_grid}")
+    # the ladder doubles from a multiple of the smallest eps, so it must be
+    # > 0; an infinite eps truncates everything away and reads as 0
+    if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
+        raise ValueError(f"eps grid must be non-empty with every eps positive and finite, got {eps_grid}")
     pts = [as_points(p) for p in points]
     rho = _PATCH_FACTOR * min(eps_grid)
     eps_floor = _SQRT2_4 * min(eps_grid)  # below this radius every cutoff vanishes

@@ -130,8 +130,8 @@ def test_criterion_4_oscillation_invariance():
     rng = np.random.default_rng(1004)
     doms = [
         domains.slab(0.0),
-        domains.vertical_holder(1.0, 0.5).domain(),
-        domains.vertical_holder(1.0, 1.0).domain(),
+        domains.vertical_holder(1.0, 0.5),
+        domains.vertical_holder(1.0, 1.0),
     ]
     agree = 0
     cases = 0
@@ -149,7 +149,8 @@ def test_criterion_4_oscillation_invariance():
         )
         comb = math.hypot(a.stderr, b.stderr)
         cases += 1
-        if abs(a.value - b.value) <= 3 * comb:
+        # the slab's fibre values are exact, their stderr only rounding
+        if abs(a.value - b.value) <= 3 * comb + 1e-12 * max(1.0, abs(a.value)):
             agree += 1
     report(4, "oscillation invariance", agree >= 19, f"{agree}/{cases} within 3 combined stderr")
 
@@ -159,7 +160,7 @@ def test_criterion_5_hoelder_decay_slopes():
     results = {}
     ok = True
     for tau in (0.25, 0.5, 1.0):
-        dom = domains.vertical_holder(1.0, tau).domain()
+        dom = domains.vertical_holder(1.0, tau)
 
         def profile(kmin, kmax, tag):
             pts = []

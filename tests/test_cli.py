@@ -127,6 +127,23 @@ def test_bad_values_name_their_key(tmp_path, capsys):
             assert cli.main(argv) == 2
         run.assert_not_called()
         assert "config error: center: coordinates must be finite" in capsys.readouterr().err
+    # nor is a non-finite or non-positive radius, eps or scale bound
+    for argv, key in (
+        (["osc-scan", "--domain", "slab:t>0", "--radius", "nan", "--samples", "100"], "radius"),
+        (["osc-scan", "--domain", "slab:t>0", "--radius", "0", "--samples", "100"], "radius"),
+        (["osc-scan", "--domain", "slab:t>0", "--radii", "1,inf", "--samples", "100"], "radii"),
+        (["osc-scan", "--domain", "slab:t>0", "--radii", "1..nan", "--samples", "100"], "radii"),
+        (["riesz-test", "--eps-grid", "inf"], "eps_grid"),
+        (["riesz-test", "--eps-grid", "0.5,-0.25"], "eps_grid"),
+        (["dini", "--domain", "slab:t>0", "--scales", "2^-3:inf:1"], "scales"),
+        (["dini", "--domain", "slab:t>0", "--scales", "nan:1:1"], "scales"),
+    ):
+        with mock.patch.object(cli, "run", return_value=0) as run:
+            assert cli.main(argv) == 2
+        run.assert_not_called()
+        assert f"config error: {key}: must be positive and finite" in capsys.readouterr().err
+    assert cli.main(["osc-scan", "--radii", "2^9999"]) == 2
+    assert "config error: radii: '2^9999' overflows a float" in capsys.readouterr().err
 
 
 def test_every_setting_is_a_flag_of_every_experiment():

@@ -7,6 +7,7 @@ import pytest
 from heiskit import core, domains, riesz
 from heiskit.oscillation import (
     ScaleGrid,
+    _gaps,
     dini_integral,
     lp_vertical_perimeter,
     osc,
@@ -20,6 +21,25 @@ SLAB = domains.slab(0.0)
 FLAT = domains.flat(0.0, 0.0)
 CFG = SampleConfig(n=100_000, seed=21)
 
+_BUILT_IN = [
+    SLAB,
+    domains.slab(-0.3),
+    *(domains.vertical_holder(1.0, tau) for tau in (0.25, 0.5, 1.0)),
+    domains.vertical_holder(3.0, 0.5),
+    FLAT,
+    domains.flat(0.4, 0.2),
+    domains.euclidean_lift("abs", scale=0.5),
+    domains.euclidean_lift("sin", scale=1.0),
+]
+_MOVED = [domains.transform(d, core.point(0.4, -0.3, 0.2), 1.7) for d in _BUILT_IN]
+# every built-in family, moved, complemented and both
+FAMILIES = _BUILT_IN + _MOVED + [domains.complement(d) for d in _BUILT_IN + _MOVED]
+
+
+def sampled(dom):
+    """The same set without its crossing, so the gap pass samples t."""
+    return domains.DomainOracle(dom.indicator, dom.label)
+
 
 def test_scale_grid():
     g = ScaleGrid(0.25, 2.0, 1)
@@ -29,6 +49,56 @@ def test_scale_grid():
         ScaleGrid(1.0, 0.5, 1)
     with pytest.raises(ValueError):
         ScaleGrid(0.1, 1.0, 0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ScaleGrid(0.1, bad, 1)
+
+
+@pytest.mark.parametrize("dom", FAMILIES, ids=lambda d: d.label)
+def test_crossing_classifies_points_as_the_indicator(dom):
+    # along the vertical line over (x, y) the indicator changes between t
+    # and t + h exactly when the line's crossing lies in (t, t + h]
+    rng = np.random.default_rng(31)
+    p = rng.uniform(-2.0, 2.0, (20_000, 3))
+    h = rng.uniform(0.0, 3.0, 20_000)
+    cross = dom.crossing(p[:, 0], p[:, 1])
+    shifted = p.copy()
+    shifted[:, 2] += h
+    changes = dom.indicator(p) != dom.indicator(shifted)
+    np.testing.assert_array_equal(changes, (cross > p[:, 2]) & (cross <= p[:, 2] + h))
+    assert changes.any() or np.all(np.isinf(cross))
+
+
+def _agree(a, b):
+    return abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
+
+
+@pytest.mark.parametrize("dom", FAMILIES, ids=lambda d: d.label)
+def test_fibre_path_matches_sampled_path(dom):
+    ball = core.Ball(core.point(0.3, -0.2, 0.1), 0.8)
+    a = osc(dom, ball, SampleConfig(n=40_000, seed=61), s_nodes=8)
+    b = osc(sampled(dom), ball, SampleConfig(n=40_000, seed=62), s_nodes=8)
+    assert _agree(a, b), (a, b)
+    a = vertical_perimeter(dom, ball, 0.5, SampleConfig(n=40_000, seed=63))
+    b = vertical_perimeter(sampled(dom), ball, 0.5, SampleConfig(n=40_000, seed=64))
+    assert _agree(a, b), (a, b)
+
+
+def test_fibre_path_matches_sampled_path_on_moved_domains():
+    # the moved domains and balls of the oscillation-invariance criterion
+    rng = np.random.default_rng(1004)
+    doms = [SLAB, domains.vertical_holder(1.0, 0.5), domains.vertical_holder(1.0, 1.0)]
+    for i in range(20):
+        lam = float(np.exp(rng.uniform(-0.7, 0.7)))
+        q = rng.uniform(-1, 1, 3)
+        moved = domains.transform(doms[i % 3], q, lam)
+        ball = core.Ball(core.dilate(lam, q), lam)
+        a = osc(moved, ball, SampleConfig(n=40_000, seed=5000 + i), s_nodes=12)
+        b = osc(sampled(moved), ball, SampleConfig(n=40_000, seed=6000 + i), s_nodes=12)
+        assert _agree(a, b), (i, a, b)
+        a = vertical_perimeter(moved, ball, 0.5 * lam, SampleConfig(n=40_000, seed=7000 + i))
+        b = vertical_perimeter(sampled(moved), ball, 0.5 * lam, SampleConfig(n=40_000, seed=8000 + i))
+        assert _agree(a, b), (i, a, b)
 
 
 def test_vertical_perimeter_flat_vanishes():
@@ -63,14 +133,14 @@ def test_osc_values():
 
 
 def test_osc_uniform_bound():
-    for dom in (SLAB, domains.vertical_holder(3.0, 0.5).domain()):
+    for dom in (SLAB, domains.vertical_holder(3.0, 0.5)):
         for r in (0.25, 1.0, 4.0):
             est = osc(dom, core.Ball(core.point(0.1, -0.2, 0.05), r), SampleConfig(n=20_000, seed=5))
             assert 0.0 <= est.value <= math.pi / 2
 
 
 def test_osc_complement_symmetry():
-    dom = domains.vertical_holder(1.0, 0.5).domain()
+    dom = domains.vertical_holder(1.0, 0.5)
     a = osc(dom, BALL, SampleConfig(n=100_000, seed=8), s_nodes=16)
     b = osc(domains.complement(dom), BALL, SampleConfig(n=100_000, seed=9), s_nodes=16)
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
@@ -92,7 +162,7 @@ def test_osc_invariance_under_dilation_and_translation():
 
 def test_osc_approximate_monotonicity():
     # B(p, r) inside B(p, 2r): the scale factor 2 costs at most 2^5 = 32
-    dom = domains.vertical_holder(1.0, 1.0).domain()
+    dom = domains.vertical_holder(1.0, 1.0)
     for seed, r in ((1, 0.5), (2, 1.0)):
         small = osc(dom, core.Ball(core.point(0, 0, 0), r), SampleConfig(n=60_000, seed=seed), s_nodes=16)
         big = osc(dom, core.Ball(core.point(0, 0, 0), 2 * r), SampleConfig(n=60_000, seed=seed + 50), s_nodes=16)
@@ -110,7 +180,7 @@ def test_perimeter_profile_matches_single_scale():
 def test_one_pass_serves_profile_osc_and_single_scale():
     # on one config, osc is the mean of the profile and vertical_perimeter
     # at a node is r^4 times the profile there
-    dom = domains.vertical_holder(1.0, 0.5).domain()
+    dom = domains.vertical_holder(1.0, 0.5)
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=6)
     mids, prof, prof_osc = perimeter_profile(dom, ball, cfg, s_nodes=16)
@@ -128,7 +198,7 @@ def test_one_pass_serves_profile_osc_and_single_scale():
 def test_perimeter_profile_moments_match_one_pass():
     # three uneven chunks merged in order, against np.mean / np.std over the
     # concatenated stream of the same nodes
-    dom = domains.vertical_holder(1.0, 0.5).domain()
+    dom = sampled(domains.vertical_holder(1.0, 0.5))
     cfg = SampleConfig(n=150_000, seed=5)
     mids, prof, _ = perimeter_profile(dom, BALL, cfg, s_nodes=4)
     vals, errs = prof.value, prof.stderr
@@ -140,6 +210,36 @@ def test_perimeter_profile_moments_match_one_pass():
         assert v == pytest.approx(scale * d.mean(), rel=1e-12)
         assert e == pytest.approx(scale * np.std(d, ddof=1) / math.sqrt(len(d)), rel=1e-12)
         assert v > 0.0
+
+
+def test_fibre_profile_moments_match_one_pass():
+    # the fibre fractions of the concatenated stream: their mean and std
+    # are the merged chunk moments, and at a few points each is the mean of
+    # the indicator gap over midpoint nodes of the point's fibre in the
+    # ball, which errs by at most one node at each of its two jumps
+    dom = domains.vertical_holder(1.0, 0.5)
+    ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
+    cfg = SampleConfig(n=150_000, seed=5)
+    mids, prof, _ = perimeter_profile(dom, ball, cfg, s_nodes=4)
+    pts = np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda p: p))
+    scale = ball.volume / ball.radius**4
+    fractions = list(_gaps(dom, ball, pts, mids))
+    for d, v, e in zip(fractions, prof.value, prof.stderr):
+        assert v == pytest.approx(scale * d.mean(), rel=1e-12)
+        assert e == pytest.approx(scale * np.std(d, ddof=1) / math.sqrt(len(d)), rel=1e-12)
+        assert v > 0.0
+
+    k = 4096
+    nodes = (np.arange(k) + 0.5) / k - 0.5  # fibre offsets in units of r^2/2
+    cx, cy, _ = ball.center
+    for i in range(0, 150_000, 1500):
+        x, y, _ = pts[i]
+        middle = core.mul(ball.center, core.point(x - cx, y - cy, 0.0))
+        line = middle + np.outer(nodes * 0.5 * ball.radius**2, [0.0, 0.0, 1.0])
+        assert ball.contains(line).all()
+        for s, d in zip(mids, fractions):
+            gap = np.abs(dom.indicator(line) - dom.indicator(line + [0.0, 0.0, s * s]))
+            assert abs(d[i] - gap.mean()) <= 2.0 / k
 
 
 @pytest.mark.parametrize("s_nodes", [0, -3])
@@ -170,7 +270,7 @@ def test_dini_integral():
     flat = dini_integral(FLAT, core.point(0, 0, 0), grid, CFG)
     assert flat.value == 0.0
 
-    dom = domains.vertical_holder(1.0, 1.0).domain()
+    dom = domains.vertical_holder(1.0, 1.0)
     cfg = SampleConfig(n=40_000, seed=3)
     short = dini_integral(dom, core.point(0, 0, 0), ScaleGrid(0.5, 2.0, 1), cfg)
     long = dini_integral(dom, core.point(0, 0, 0), ScaleGrid(0.25, 4.0, 1), cfg)
@@ -289,7 +389,7 @@ def test_dt_bound_slab_matches_line_integration():
 def test_dt_bound_ratio_bound_on_families():
     psi = riesz.BumpSpec(center=(0, 0, 0), radius=0.5, kind="psi_ball")
     ball = core.Ball(core.point(0, 0, 0), 0.5)
-    for dom in (SLAB, domains.vertical_holder(1.0, 0.5).domain()):
+    for dom in (SLAB, domains.vertical_holder(1.0, 0.5)):
         res = dt_bound_check(dom, ball, psi, SampleConfig(n=100_000, seed=17))
         assert res.ratio <= 50.0
 

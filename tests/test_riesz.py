@@ -182,9 +182,10 @@ def test_flat_centered_symmetry_cancels():
         assert abs(row.adj) <= 3 * row.adj_stderr
 
 
-@pytest.mark.parametrize("eps_grid", [[], [0.0], [-0.5], [0.5, 0.0]])
+@pytest.mark.parametrize("eps_grid", [[], [0.0], [-0.5], [0.5, 0.0], [0.5, math.inf]])
 def test_testing_scan_rejects_nonpositive_eps_before_sampling(monkeypatch, eps_grid):
-    # the patch ladder doubles from 8 * min(eps) up to 2R: at eps <= 0 it never ends
+    # the patch ladder doubles from 8 * min(eps) up to 2R: at eps <= 0 it
+    # never ends; an infinite eps cuts every kernel away and reads as 0
     def no_draw(*args, **kwargs):
         raise AssertionError("a sample was drawn")
 
