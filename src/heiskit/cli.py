@@ -66,6 +66,14 @@ def _positive(value: float) -> float:
     return value
 
 
+def _p_exponent(text: str) -> float:
+    """An L^p exponent: finite and at least 1, else a config error."""
+    value = float(text)
+    if not (1.0 <= value < math.inf):
+        raise ConfigError(f"must be finite and >= 1, got {value!r}")
+    return value
+
+
 def _parse_list(text: str) -> tuple[float, ...]:
     """Comma list or an octave range 'a..b' (doubling or halving) of
     positive finite values."""
@@ -122,7 +130,7 @@ _SETTINGS = (
     ("samples", "samples", int, str, "n"),
     ("seed", "seed", int, str, "n"),
     ("scales", "scales", _parse_scales, lambda s: f"{s[0]!r}:{s[1]!r}:{s[2]}", "smin:smax:per_octave"),
-    ("p_exp", "p_exp", float, repr, "p"),
+    ("p_exp", "p_exp", _p_exponent, repr, "p"),
     ("eps_grid", "eps_grid", _parse_list, _fmt_floats, "a,b,... or a..b"),
     ("out", "out", str.strip, str, "path"),
     ("format", "fmt", str.strip, str, "csv|json"),
@@ -209,11 +217,6 @@ class DecayFit:
     r2_below: float
     r2_above: float
 
-    @property
-    def r2(self) -> float:
-        vals = [v for v in (self.r2_below, self.r2_above) if not math.isnan(v)]
-        return min(vals) if vals else math.nan
-
 
 def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     if len(xs) < 2 or float(np.ptp(xs)) == 0.0:
@@ -226,15 +229,14 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     return float(slope), r2
 
 
-def fit_decay(profile, trim: bool = True) -> DecayFit:
+def fit_decay(profile) -> DecayFit:
     """Least-squares slopes of a (log r, log value) profile on each side of r = 1.
 
     Zero or non-finite entries are dropped (their slope is undefined, not 0).
-    With trim=True the extreme octave at each end is excluded as truncation
-    contamination.
+    The extreme octave at each end is excluded as truncation contamination.
     """
     pts = [(float(a), float(b)) for a, b in profile if math.isfinite(a) and math.isfinite(b)]
-    if trim and len(pts) >= 3:
+    if len(pts) >= 3:
         pts = sorted(pts)
         pts = pts[1:-1]
     xs = np.array([a for a, _ in pts])

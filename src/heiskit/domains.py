@@ -133,15 +133,14 @@ def graph_map(g: IntrinsicGraph, w) -> np.ndarray:
     return mul(embed_vertical(w), np.stack((val, zeros, zeros), axis=-1))
 
 
-def intrinsic_gradient(g: IntrinsicGraph, w, h: float = 1e-5) -> np.ndarray:
+def intrinsic_gradient(g: IntrinsicGraph, w) -> np.ndarray:
     """Gradient of phi along its own graph flow, d_y phi + phi * d_t phi.
 
-    Central differences with step h in y; the t step is scaled by
+    Central differences with step h = 1e-5 in y; the t step is scaled by
     max(1, |phi|) and Richardson-extrapolated, since the flow moves in t at
     speed phi.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    h = 1e-5
     w = np.asarray(w, dtype=float)
     y, t = w[..., 0], w[..., 1]
     val = np.asarray(g.phi(y, t), dtype=float)
@@ -319,26 +318,20 @@ _PHI0: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def euclidean_lift(phi0, scale: float = 1.0) -> IntrinsicGraph:
+def euclidean_lift(phi0: str, scale: float = 1.0) -> IntrinsicGraph:
     """Graph constant along vertical lines: phi(y, t) = scale * phi0(y).
 
-    phi0 may be a vectorised callable or one of the named profiles
-    {zero, abs, sin}, all 1-Lipschitz.
+    phi0 names one of the profiles {zero, abs, sin}, all 1-Lipschitz.
     """
-    if isinstance(phi0, str):
-        if phi0 not in _PHI0:
-            raise ValueError(f"unknown lift profile {phi0!r}; known: {sorted(_PHI0)}")
-        fn = _PHI0[phi0]
-        name = phi0
-    else:
-        fn = phi0
-        name = getattr(phi0, "__name__", "custom")
+    if phi0 not in _PHI0:
+        raise ValueError(f"unknown lift profile {phi0!r}; known: {sorted(_PHI0)}")
+    fn = _PHI0[phi0]
     scale = float(scale)
 
     def phi(y, t):
         return scale * np.asarray(fn(np.asarray(y, dtype=float)), dtype=float)
 
-    return IntrinsicGraph(phi, label=f"lift:phi0={name},scale={scale:g}", crossing=_constant_crossing(math.inf))
+    return IntrinsicGraph(phi, label=f"lift:phi0={phi0},scale={scale:g}", crossing=_constant_crossing(math.inf))
 
 
 def vertical_holder(H: float, tau: float) -> IntrinsicGraph:
@@ -416,21 +409,18 @@ def parse_domain(spec: str):
                 raise ValueError(f"malformed domain parameter {item!r} in {spec!r}")
             params[key.strip().lower()] = value.strip()
 
-    def pop_float(keys: tuple[str, ...], default: float) -> float:
-        for k in keys:
-            if k in params:
-                return float(params.pop(k))
-        return default
+    def pop_float(key: str, default: float) -> float:
+        return float(params.pop(key)) if key in params else default
 
     if name == "flat":
-        theta = pop_float(("theta", "θ"), 0.0)
-        offset = pop_float(("offset",), 0.0)
+        theta = pop_float("theta", 0.0)
+        offset = pop_float("offset", 0.0)
     elif name == "lift":
         profile = params.pop("phi0", "abs")
-        scale = pop_float(("scale",), 1.0)
+        scale = pop_float("scale", 1.0)
     elif name == "holder":
-        H = pop_float(("h",), 1.0)
-        tau = pop_float(("tau",), 0.5)
+        H = pop_float("h", 1.0)
+        tau = pop_float("tau", 0.5)
     else:
         raise ValueError(f"unknown domain family {name!r} in {spec!r}")
     if params:

@@ -16,10 +16,11 @@ crossing (every built-in family, see domains) crosses each vertical line at
 most once, at t = T, so the gap at shift s is 1 on the line exactly for t in
 [T - s^2, T): each sample point contributes the exact mean of its gap over
 the ball's vertical fibre through it, and no indicator is evaluated.  This
-conditions the t coordinate away: the estimand is the same and the variance
-smaller, and where every fibre gives the same number (a slab and a ball
-centred on the t-axis) the stderr is 0, exact up to rounding.  Any
-other oracle takes the sampled path, which evaluates the indicator at every
+conditions the t coordinate away: the pass draws only the (x, y) of the
+ball's nodes, the estimand is the same and the variance smaller, and where
+every fibre gives the same number (a slab and a ball centred on the t-axis)
+the stderr is 0, exact up to rounding.  Any other oracle takes the sampled
+path, which draws the full ball sample and evaluates the indicator at every
 point and every shift.
 """
 
@@ -32,8 +33,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import Ball, as_points
-from .quadrature import Estimate, SampleConfig, _ball_chunks, _estimate_from_moments, _map_chunks
-from .quadrature import _merge_moments, _moments
+from .quadrature import Estimate, SampleConfig, _ball_chunks, _disc_chunks, _estimate_from_moments
+from .quadrature import _map_chunks, _merge_moments, _moments
 
 __all__ = [
     "ScaleGrid",
@@ -76,7 +77,8 @@ class ScaleGrid:
 
 def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
     """|chi(p) - chi(p * (0, 0, s^2))| at the ball's sample points, for each
-    node s in turn; with a crossing, its mean over each point's fibre."""
+    node s in turn; with a crossing, its mean over each point's fibre, read
+    from the points' (x, y) alone (pts may then be (m, 2))."""
     crossing = getattr(omega, "crossing", None)
     if crossing is None:
         base = omega.indicator(pts)
@@ -103,7 +105,9 @@ def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
 
 def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     """v(ball)(s) at every node s and, last, their average over the nodes,
-    as arrays of correlated estimates from one pass over one ball sample."""
+    as arrays of correlated estimates from one pass over one ball sample;
+    a domain with a crossing draws only the sample's (x, y)."""
+    sample = _ball_chunks if getattr(omega, "crossing", None) is None else _disc_chunks
 
     def moments(pts):
         parts, total = [], 0
@@ -113,7 +117,7 @@ def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
         means, m2s, _ = zip(*parts, _moments(total / len(nodes)))
         return np.array(means), np.array(m2s), len(pts)
 
-    return _estimate_from_moments(*_merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments)), ball.volume)
+    return _estimate_from_moments(*_merge_moments(_map_chunks(*sample(ball, cfg), moments)), ball.volume)
 
 
 def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Estimate:

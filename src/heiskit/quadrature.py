@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo integration over metric balls and boxes.
+"""Seeded Monte-Carlo integration over metric balls.
 
 Determinism contract: every estimate is a pure function of (region, integrand,
 SampleConfig).  Samples are generated in fixed-size chunks, chunk i drawing
@@ -6,9 +6,12 @@ from an independent stream seeded by (seed, i), and partial results are
 reduced in chunk order.  Running chunks in parallel therefore reproduces the
 serial result bit for bit; the worker count comes from the HEISKIT_WORKERS
 environment variable (default 1).  One chunk map owns that thread pool; it
-runs integrate_ball, integrate_box, the gap pass of oscillation and
-domains.surface_sample.  Every mean and stderr in the package comes from
-one accumulator: _moments, _merge_moments and _estimate_from_moments.
+runs integrate_ball, the gap pass of oscillation and domains.surface_sample.
+The metric ball is the one volume sampler.  Where the gap pass reads only
+(x, y) it draws the ball's disc alone: the first two of each node's three
+draws, so that stream agrees with the ball's in (x, y) bit for bit.  Every
+mean and stderr in the package comes from one accumulator: _moments,
+_merge_moments and _estimate_from_moments.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "Estimate",
     "NonFiniteIntegrandError",
     "integrate_ball",
-    "integrate_box",
 ]
 
 CHUNK = 1 << 16
@@ -114,20 +116,29 @@ def _mc_chunks(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _disc_chunk(rng: np.random.Generator, m: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of m points uniform w.r.t. area on the disc |z| <= radius.
+
+    Polar coordinates: radius r*sqrt(u) makes the areal density uniform.
+    These are the first two of the cylinder's three draws.
+    """
+    u = rng.random(m)
+    ang = rng.random(m) * (2.0 * math.pi)
+    rad = radius * np.sqrt(u)
+    return rad * np.cos(ang), rad * np.sin(ang)
+
+
 def _cylinder_chunk(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
     """m points uniform w.r.t. Lebesgue measure on B(0, radius).
 
     The ball is the cylinder {|z| <= r} x {|t| <= r^2/4}, so no rejection is
-    needed: draw the disc part in polar coordinates (radius r*sqrt(u) makes
-    the areal density uniform) and the t part uniformly on the slab.   Draw
-    order (u, angle, t) is fixed; changing it would silently change every
-    seeded result.
+    needed: draw the disc part (see _disc_chunk) and the t part uniformly on
+    the slab.  Draw order (u, angle, t) is fixed; changing it would silently
+    change every seeded result.
     """
-    u = rng.random(m)
-    ang = rng.random(m) * (2.0 * math.pi)
+    x, y = _disc_chunk(rng, m, radius)
     tt = (rng.random(m) - 0.5) * (0.5 * radius**2)
-    rad = radius * np.sqrt(u)
-    return np.stack((rad * np.cos(ang), rad * np.sin(ang), tt), axis=-1)
+    return np.stack((x, y, tt), axis=-1)
 
 
 # (make_chunk, chunks): make_chunk(i, size) builds the nodes of chunk i
@@ -164,12 +175,17 @@ def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     return make, _mc_chunks(cfg.n)
 
 
-def _box_chunks(lo: np.ndarray, span: np.ndarray, cfg: SampleConfig) -> _Chunks:
-    """(make_chunk, chunks) of uniform nodes in the box lo + [0, span]."""
+def _disc_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
+    """(make_chunk, chunks) of the (x, y) of the ball's nodes, as (m, 2) arrays.
+
+    The same stream as _ball_chunks without its t draws: a left translation
+    moves (x, y) by the center's (x, y), exactly as mul adds them.
+    """
+    cx, cy = ball.center[0], ball.center[1]
 
     def make(i: int, size: int) -> np.ndarray:
-        rng = np.random.default_rng([cfg.seed, i])
-        return lo + rng.random((size, 3)) * span
+        x, y = _disc_chunk(np.random.default_rng([cfg.seed, i]), size, ball.radius)
+        return np.stack((cx + x, cy + y), axis=-1)
 
     return make, _mc_chunks(cfg.n)
 
@@ -242,21 +258,3 @@ def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: Sampl
     offending point.
     """
     return _estimate_from_moments(*_reduce_uniform(*_ball_chunks(ball, cfg), f), ball.volume)
-
-
-def integrate_box(
-    f: Callable[[np.ndarray], np.ndarray],
-    bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]],
-    cfg: SampleConfig,
-) -> Estimate:
-    """Estimate of the integral of f over a coordinate box.
-
-    bounds is ((x0, x1), (y0, y1), (t0, t1)).
-    """
-    (x0, x1), (y0, y1), (t0, t1) = [(float(a), float(b)) for a, b in bounds]
-    if not (x0 < x1 and y0 < y1 and t0 < t1):
-        raise ValueError("box bounds must be increasing in every coordinate")
-    lo = np.array([x0, y0, t0])
-    span = np.array([x1 - x0, y1 - y0, t1 - t0])
-    volume = float(np.prod(span))
-    return _estimate_from_moments(*_reduce_uniform(*_box_chunks(lo, span, cfg), f), volume)

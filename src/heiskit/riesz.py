@@ -12,7 +12,8 @@ harmonic for the left and right horizontal Laplacians and that the left
 and right horizontal divergences differ by the t-derivative of the torsion
 term.  testing_scan is the one sum of K and Kstar against a sampled graph
 measure: it multiplies both kernels by the smooth exterior cutoff at every
-truncation scale.
+truncation scale.  divergence_check integrates the divergence of a bump
+field over the field's support ball, the one volume sampler of quadrature.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point
 from .domains import IntrinsicGraph, WeightedSample, _unit_normal, region_for_ball, surface_sample
-from .quadrature import Estimate, SampleConfig, _estimate_from_moments, _moments, integrate_box
+from .quadrature import Estimate, SampleConfig, _estimate_from_moments, _moments, integrate_ball
 
 __all__ = [
     "KERNEL_DEGREES",
@@ -36,7 +37,6 @@ __all__ = [
     "inversion_identity_residual",
     "directional_derivative",
     "horizontal_divergence",
-    "right_horizontal_divergence",
     "left_right_divergence_residual",
     "harmonicity_residual",
     "BumpSpec",
@@ -162,13 +162,6 @@ def horizontal_divergence(V: Callable[[np.ndarray], np.ndarray], p, h: float = 1
     return directional_derivative(v1, "X", p, h) + directional_derivative(v2, "Y", p, h)
 
 
-def right_horizontal_divergence(V: Callable[[np.ndarray], np.ndarray], p, h: float = 1e-4) -> np.ndarray:
-    """Xt V1 + Yt V2 by central differences."""
-    v1 = lambda q: np.asarray(V(q))[..., 0]
-    v2 = lambda q: np.asarray(V(q))[..., 1]
-    return directional_derivative(v1, "Xt", p, h) + directional_derivative(v2, "Yt", p, h)
-
-
 def left_right_divergence_residual(
     V: Callable[[np.ndarray], np.ndarray], p, h: float = 1e-4
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,12 +172,16 @@ def left_right_divergence_residual(
     """
     p = as_points(p)
     lhs = horizontal_divergence(V, p, h)
+    v1 = lambda q: np.asarray(V(q))[..., 0]
+    v2 = lambda q: np.asarray(V(q))[..., 1]
 
     def torsion(q):
         vals = np.asarray(V(q))
         return -q[..., 1] * vals[..., 0] + q[..., 0] * vals[..., 1]
 
-    rhs = right_horizontal_divergence(V, p, h) + directional_derivative(torsion, "T", p, h)
+    # the right divergence Xt V1 + Yt V2, then the torsion term
+    rhs = (directional_derivative(v1, "Xt", p, h) + directional_derivative(v2, "Yt", p, h)
+           + directional_derivative(torsion, "T", p, h))
     return lhs, rhs, np.abs(lhs - rhs)
 
 
@@ -431,7 +428,7 @@ def _scan_seed(seed: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class VectorField:
-    """Compactly supported smooth horizontal 2-vector field."""
+    """Smooth horizontal 2-vector field that vanishes off its support ball."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     support: Ball
@@ -439,13 +436,6 @@ class VectorField:
 
     def __call__(self, p) -> np.ndarray:
         return np.asarray(self.fn(as_points(p)), dtype=float)
-
-    def support_box(self) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-        """Coordinate box containing the support ball (exact cylinder bounds)."""
-        cx, cy, ct = (float(v) for v in self.support.center)
-        r = self.support.radius
-        tb = 0.25 * r * r + 0.5 * r * math.hypot(cx, cy)
-        return ((cx - r, cx + r), (cy - r, cy + r), (ct - tb, ct + tb))
 
 
 def bump_field(center, radius: float, coeffs: tuple[float, float], label: str = "") -> VectorField:
@@ -475,17 +465,20 @@ def divergence_check(
 ) -> DivergenceCheck:
     """Ratio estimate of -int_Omega div V dp against the graph flux of V.
 
-    The flux side uses the area-formula surface sample with the inward
-    horizontal normal; the ratio c_hat estimates the proportionality constant
-    between the two sides, which is a property of the measure normalisation
-    and not of the field.  A near-zero flux makes the ratio ill-conditioned
-    and is flagged instead of reported as a value.
+    The volume side integrates chi_Omega div V over the support ball of V,
+    off which div V vanishes; for a bump field that is the box-norm ball
+    containing the bump's Koranyi ball, since box <= koranyi.  The flux side
+    uses the area-formula surface sample with the inward horizontal normal;
+    the ratio c_hat estimates the proportionality constant between the two
+    sides, which is a property of the measure normalisation and not of the
+    field.  A near-zero flux makes the ratio ill-conditioned and is flagged
+    instead of reported as a value.
     """
 
     def integrand(pts):
         return g.indicator(pts) * horizontal_divergence(V, pts)
 
-    lhs_raw = integrate_box(integrand, V.support_box(), cfg)
+    lhs_raw = integrate_ball(integrand, V.support, cfg)
     lhs = Estimate(-lhs_raw.value, lhs_raw.stderr, lhs_raw.n)
 
     region = region_for_ball(V.support)

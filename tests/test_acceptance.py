@@ -176,8 +176,8 @@ def test_criterion_5_hoelder_decay_slopes():
                     pts.append((math.log(r), math.log(est.value)))
             return pts
 
-        below = cli.fit_decay(profile(-6, -1, int(tau * 8)), trim=True).slope_below
-        above = cli.fit_decay(profile(1, 6, int(tau * 8) + 1), trim=True).slope_above
+        below = cli.fit_decay(profile(-6, -1, int(tau * 8))).slope_below
+        above = cli.fit_decay(profile(1, 6, int(tau * 8) + 1)).slope_above
         results[tau] = (below, above)
         ok &= (tau - 0.3) <= below <= (tau + 0.4)
         ok &= (-tau - 0.4) <= above <= (-tau + 0.3)

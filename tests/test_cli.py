@@ -142,6 +142,16 @@ def test_bad_values_name_their_key(tmp_path, capsys):
             assert cli.main(argv) == 2
         run.assert_not_called()
         assert f"config error: {key}: must be positive and finite" in capsys.readouterr().err
+    # nor is an L^p exponent that is not finite and >= 1, before any sample is drawn
+    for argv in (
+        ["beta-scan", "--p-exp", "nan"],
+        ["perimeter-beta", "--p-exp", "0.5"],
+        ["carleson", "--p-exp", "inf"],
+    ):
+        with mock.patch.object(cli, "run", return_value=0) as run:
+            assert cli.main(argv) == 2
+        run.assert_not_called()
+        assert "config error: p_exp: must be finite and >= 1" in capsys.readouterr().err
     assert cli.main(["osc-scan", "--radii", "2^9999"]) == 2
     assert "config error: radii: '2^9999' overflows a float" in capsys.readouterr().err
 
@@ -196,7 +206,7 @@ def test_fit_decay_exact_power_laws():
     fit = cli.fit_decay(prof)
     assert fit.slope_below == pytest.approx(0.5, abs=1e-6)
     assert fit.slope_above == pytest.approx(0.5, abs=1e-6)
-    assert fit.r2 == pytest.approx(1.0)
+    assert fit.r2_below == pytest.approx(1.0) and fit.r2_above == pytest.approx(1.0)
 
     prof2 = [(math.log(r), math.log(min(r, 1 / r))) for r in radii]
     fit2 = cli.fit_decay(prof2)

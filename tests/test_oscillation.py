@@ -14,7 +14,7 @@ from heiskit.oscillation import (
     perimeter_profile,
     vertical_perimeter,
 )
-from heiskit.quadrature import Estimate, SampleConfig, _ball_chunks, _map_chunks, integrate_ball
+from heiskit.quadrature import Estimate, SampleConfig, _ball_chunks, _disc_chunks, _map_chunks, integrate_ball
 
 BALL = core.Ball(core.point(0, 0, 0), 1.0)
 SLAB = domains.slab(0.0)
@@ -213,8 +213,9 @@ def test_perimeter_profile_moments_match_one_pass():
 
 
 def test_fibre_profile_moments_match_one_pass():
-    # the fibre fractions of the concatenated stream: their mean and std
-    # are the merged chunk moments, and at a few points each is the mean of
+    # the fibre fractions of the concatenated 3-D ball stream: their mean
+    # and std are the merged chunk moments of the disc draw, which is that
+    # stream's (x, y) bit for bit, and at a few points each is the mean of
     # the indicator gap over midpoint nodes of the point's fibre in the
     # ball, which errs by at most one node at each of its two jumps
     dom = domains.vertical_holder(1.0, 0.5)
@@ -222,6 +223,8 @@ def test_fibre_profile_moments_match_one_pass():
     cfg = SampleConfig(n=150_000, seed=5)
     mids, prof, _ = perimeter_profile(dom, ball, cfg, s_nodes=4)
     pts = np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda p: p))
+    disc = np.concatenate(_map_chunks(*_disc_chunks(ball, cfg), lambda p: p))
+    np.testing.assert_array_equal(disc, pts[:, :2])
     scale = ball.volume / ball.radius**4
     fractions = list(_gaps(dom, ball, pts, mids))
     for d, v, e in zip(fractions, prof.value, prof.stderr):

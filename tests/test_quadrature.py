@@ -16,7 +16,6 @@ from heiskit.quadrature import (
     _moments,
     _workers,
     integrate_ball,
-    integrate_box,
 )
 
 BALL = core.Ball(core.point(0, 0, 0), 1.0)
@@ -125,16 +124,6 @@ def test_nonfinite_integrand_reports_point():
         with pytest.raises(NonFiniteIntegrandError) as err:
             integrate_ball(bad, BALL, SampleConfig(n=150_000, seed=1))
     assert err.value.point[0] > 0.5
-
-
-def test_integrate_box():
-    bounds = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0))
-    est = integrate_box(lambda p: np.ones(len(p)), bounds, SampleConfig(n=20_000, seed=5))
-    assert est.value == pytest.approx(4.0)
-    est2 = integrate_box(lambda p: p[:, 1], bounds, SampleConfig(n=200_000, seed=6))
-    assert abs(est2.value - 4.0) <= 3 * est2.stderr
-    with pytest.raises(ValueError):
-        integrate_box(lambda p: np.ones(len(p)), ((1.0, 0.0), (0.0, 1.0), (0.0, 1.0)), CFG)
 
 
 def test_estimate_validation():
