@@ -28,7 +28,7 @@ import numpy as np
 
 from . import core
 from .core import Ball, as_points, dist, embed_vertical, inv, mul, proj_vertical
-from .quadrature import _map_chunks, _mc_chunks
+from .quadrature import SampleConfig, _map_chunks, _mc_chunks
 
 __all__ = [
     "DomainOracle",
@@ -168,12 +168,18 @@ def _unit_normal(grad: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-parallel rectangle in the (y, t) parameter plane."""
+    """Parallelogram in the (y, t) parameter plane: y0 <= y <= y1 and
+    t0 <= t - slope (y - ym) <= t1, ym the middle of [y0, y1].
+
+    slope 0 is the axis-parallel rectangle.  The shear by slope has unit
+    Jacobian, so the area is (y1 - y0)(t1 - t0) whatever the slope.
+    """
 
     y0: float
     y1: float
     t0: float
     t1: float
+    slope: float = 0.0
 
     def __post_init__(self):
         if not (self.y0 < self.y1 and self.t0 < self.t1):
@@ -183,44 +189,52 @@ class Rect:
     def area(self) -> float:
         return (self.y1 - self.y0) * (self.t1 - self.t0)
 
+    def shear(self, y: np.ndarray) -> np.ndarray:
+        """The t offset slope (y - ym) of the region at parameter y."""
+        return self.slope * (y - 0.5 * (self.y0 + self.y1))
+
+    def _t_span(self) -> tuple[float, float]:
+        h = 0.5 * abs(self.slope) * (self.y1 - self.y0)
+        return self.t0 - h, self.t1 + h
+
     def meets(self, other: "Rect") -> bool:
-        """Whether the two closed rectangles share a point."""
-        return (
-            self.y0 <= other.y1
-            and other.y0 <= self.y1
-            and self.t0 <= other.t1
-            and other.t0 <= self.t1
-        )
+        """Whether the bounding boxes of the two regions share a point;
+        regions whose boxes are disjoint are disjoint."""
+        (a0, a1), (b0, b1) = self._t_span(), other._t_span()
+        return self.y0 <= other.y1 and other.y0 <= self.y1 and a0 <= b1 and b0 <= a1
 
     def contains_w(self, w: np.ndarray) -> np.ndarray:
         """Membership mask for (..., 2) plane coordinates."""
         w = np.asarray(w, dtype=float)
-        return (
-            (w[..., 0] >= self.y0)
-            & (w[..., 0] <= self.y1)
-            & (w[..., 1] >= self.t0)
-            & (w[..., 1] <= self.t1)
-        )
+        y = w[..., 0]
+        t = w[..., 1] - self.shear(y)
+        return (y >= self.y0) & (y <= self.y1) & (t >= self.t0) & (t <= self.t1)
 
 
-def region_for_ball(ball: Ball, pad: float = 0.05) -> Rect:
-    """Rectangle covering the vertical projections of every point of the ball.
+# Relative slack of region_for_ball on each side, against boundary effects.
+_PAD = 0.05
+
+
+def region_for_ball(ball: Ball) -> Rect:
+    """Parallelogram covering the vertical projections of every point of the ball.
 
     For q in B(c, rho) write q = c * m with box_norm(m) <= rho.  Then the
-    (y, t)-plane projection satisfies |y - c_y| <= rho and
+    (y, t)-plane projection satisfies y - c_y = m_y and
 
         t_w = (c_t + c_x c_y / 2) + m_t + c_x m_y + m_x m_y / 2,
 
-    so |t_w - t_w(c)| <= rho^2/4 + |c_x| rho + rho^2/4.  The bound is exact,
-    the pad only adds slack against boundary effects downstream.
+    so |t_w - t_w(c) - c_x (y - c_y)| <= rho^2/4 + rho^2/4: the c_x m_y
+    term is a shear of slope c_x.  The bound is exact, and the region's
+    area 2 rho^3 (1 + _PAD)^2 does not depend on c; the pad only adds
+    slack against boundary effects downstream.
     """
     cx, cy, ct = (float(v) for v in ball.center)
     rho = ball.radius
-    dt = 0.5 * rho**2 + abs(cx) * rho
+    dt = 0.5 * rho**2
     wt = ct + 0.5 * cx * cy
-    py = pad * rho
-    pt = pad * dt
-    return Rect(cy - rho - py, cy + rho + py, wt - dt - pt, wt + dt + pt)
+    py = _PAD * rho
+    pt = _PAD * dt
+    return Rect(cy - rho - py, cy + rho + py, wt - dt - pt, wt + dt + pt, cx)
 
 
 @dataclass
@@ -257,15 +271,12 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
     regardless of how the chunks are scheduled.  The gradient behind each
     weight is kept, so the unit normal never needs it computed again.
     """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    SampleConfig(n, seed)  # the same checks of n and seed
 
     def draw(i: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, i])
         y = region.y0 + rng.random(size) * (region.y1 - region.y0)
-        t = region.t0 + rng.random(size) * (region.t1 - region.t0)
+        t = region.t0 + rng.random(size) * (region.t1 - region.t0) + region.shear(y)
         return np.stack((y, t), axis=-1)
 
     def push(w: np.ndarray) -> tuple[np.ndarray, ...]:

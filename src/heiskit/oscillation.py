@@ -192,12 +192,8 @@ def lp_vertical_perimeter(
     if p_exp < 1.0:
         raise ValueError("p exponent must be >= 1")
     scales = grid.scales()
-    vals = np.empty(len(scales))
-    errs = np.empty(len(scales))
-    for k, s in enumerate(scales):
-        est = vertical_perimeter(omega, window, s, cfg.child(k))
-        vals[k] = est.value
-        errs[k] = est.stderr
+    ests = [vertical_perimeter(omega, window, s, cfg.child(k)) for k, s in enumerate(scales)]
+    vals, errs = np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
     ratios = vals / scales
     total = float(np.sum(ratios**p_exp) * grid.dlog)
     value = total ** (1.0 / p_exp)
@@ -233,11 +229,7 @@ class DiniProfile:
 
     def log_profile(self) -> list[tuple[float, float]]:
         """(log r, log osc) pairs, dropping non-positive entries."""
-        out = []
-        for r, v in zip(self.radii, self.osc_values):
-            if v > 0.0:
-                out.append((math.log(r), math.log(v)))
-        return out
+        return [(math.log(r), math.log(v)) for r, v in zip(self.radii, self.osc_values) if v > 0.0]
 
 
 def dini_integral(
@@ -251,12 +243,8 @@ def dini_integral(
     """
     p0 = as_points(p0)
     radii = grid.scales()
-    vals = np.empty(len(radii))
-    errs = np.empty(len(radii))
-    for k, r in enumerate(radii):
-        est = osc(omega, Ball(p0, r), cfg.child(k), s_nodes=s_nodes)
-        vals[k] = est.value
-        errs[k] = est.stderr
+    ests = [osc(omega, Ball(p0, r), cfg.child(k), s_nodes=s_nodes) for k, r in enumerate(radii)]
+    vals, errs = np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
     total = float(np.sum(vals) * grid.dlog)
     stderr = float(np.sqrt(np.sum(errs**2)) * grid.dlog)
     return DiniProfile(total, stderr, radii, vals, errs, grid.dlog)

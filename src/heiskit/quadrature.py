@@ -105,15 +105,7 @@ def _workers() -> int:
 
 def _mc_chunks(n: int) -> list[tuple[int, int]]:
     """(chunk index, chunk size) pairs covering n samples."""
-    out = []
-    i = 0
-    remaining = n
-    while remaining > 0:
-        size = min(CHUNK, remaining)
-        out.append((i, size))
-        remaining -= size
-        i += 1
-    return out
+    return [(i, min(CHUNK, n - i * CHUNK)) for i in range(-(-n // CHUNK))]
 
 
 def _disc_chunk(rng: np.random.Generator, m: int, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -315,24 +315,25 @@ def testing_scan(
 
     For each ball the test function f is the interior bump times the unit
     graph normal.  The surface quadrature is stratified over the parameter
-    plane.  Around each evaluation point a geometric ladder of rectangle
-    patches, from 8 times the smallest truncation scale up to
-    twice the ball radius, resolves the kernel at every scale: stratum k
-    samples patch k minus patch k - 1, and a coarse sample of the ball's
-    rectangle, shared by all points, covers the rest of it.  The strata
-    partition the plane, so the combined sum stays unbiased; without the
-    ladder the small-eps columns would be dominated by near-singularity
-    sampling noise.
+    plane.  Around each evaluation point p a geometric ladder of patches,
+    the parallelograms region_for_ball gives the balls B(p, r_k) for r_k
+    from 8 times the smallest truncation scale up to twice the ball radius,
+    resolves the kernel at every scale: the patches share p's centre and
+    slope, so they are nested, stratum k samples patch k minus patch k - 1,
+    and a coarse sample of the ball's parallelogram, shared by all points,
+    covers the rest of it.  The strata partition the plane, so the combined
+    sum stays unbiased; without the ladder the small-eps columns would be
+    dominated by near-singularity sampling noise.
 
     Each stratum stands for n samples, but only those where f and some
     cutoff are non-zero reach the kernel, so the cost scales with the
-    samples that meet the bump.  f vanishes off the ball, whose rectangle
-    covers the vertical projections of its points, and a graph point
-    projects to its own parameter; so a patch disjoint from that rectangle
-    adds exactly 0 and is not drawn, while the other strata keep their own
-    seeded streams.  The zeros left out enter each stratum's stderr in
-    closed form.  An empty eps grid, or an eps that is not positive and
-    finite, raises ValueError.
+    samples that meet the bump.  f vanishes off the ball, whose
+    parallelogram covers the vertical projections of its points, and a
+    graph point projects to its own parameter; so a patch whose bounding
+    box misses that parallelogram's adds exactly 0 and is not drawn, while
+    the other strata keep their own seeded streams.  The zeros left out
+    enter each stratum's stderr in closed form.  An empty eps grid, or an
+    eps that is not positive and finite, raises ValueError.
     """
     rows: list[TestingScanRow] = []
     eps_grid = [float(e) for e in eps_grid]
@@ -355,7 +356,7 @@ def testing_scan(
                 ladder.append(r_k)
                 r_k *= 2.0
             patches = [region_for_ball(Ball(p, r_k)) for r_k in ladder]
-            # each stratum as its f != 0 samples and the rectangle it leaves out
+            # each stratum as its f != 0 samples and the patch it leaves out
             layers = [
                 (_bump_samples(psi, surface_sample(g, patch, n, seed=_scan_seed(seed, tag + k))),
                  patches[k - 1] if k else None)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from heiskit import cli, core, domains, riesz
+from heiskit import beta, cli, core, domains, riesz
 
 
 def test_parse_list_and_ranges():
@@ -178,8 +178,8 @@ def test_every_setting_is_a_flag_of_every_experiment():
 def test_out_of_range_scan_settings_exit_2_before_sampling(argv, capsys):
     # at eps <= 0 the patch ladder of testing_scan never reaches 2R;
     # p < 1 turns the zero beta numbers of a flat graph into 0^p = 1 or 1/0,
-    # and p = inf every beta number below 1 into 0; below 5 samples a local
-    # beta ball would draw samples // 5 = 0 points
+    # and p = inf every beta number below 1 into 0; below 50 samples a local
+    # beta ball would draw samples // 50 = 0 points
     no_draw = AssertionError("a sample was drawn")
     with mock.patch("heiskit.riesz.surface_sample", side_effect=no_draw), \
          mock.patch("heiskit.beta.surface_sample", side_effect=no_draw), \
@@ -189,7 +189,7 @@ def test_out_of_range_scan_settings_exit_2_before_sampling(argv, capsys):
 
 
 def test_carleson_ratio_follows_samples(tmp_path):
-    # the window sample draws --samples points and each local ball a fifth
+    # the window sample draws --samples points and each local ball a fiftieth
     ratios = []
     for n in ("2000", "5000"):
         out = tmp_path / f"c{n}.csv"
@@ -198,6 +198,38 @@ def test_carleson_ratio_follows_samples(tmp_path):
         lines = (line for line in out.read_text().splitlines() if not line.startswith("#"))
         ratios.append(next(csv.DictReader(lines))["ratio"])
     assert ratios[0] != ratios[1]
+
+
+def test_carleson_small_samples_keep_every_local_ball(tmp_path):
+    # at 1,000 samples each local ball draws 20 points; over an upright
+    # rectangle a radius-1/64 ball kept none of them and the run exited 1
+    out = tmp_path / "c.csv"
+    assert cli.main(["carleson", "--domain", _LIFT, "--radius", "1", "--p-exp", "4",
+                     "--samples", "1000", "--out", str(out)]) == 0
+    lines = (line for line in out.read_text().splitlines() if not line.startswith("#"))
+    ratio = float(next(csv.DictReader(lines))["ratio"])
+    assert 0.0 < ratio < math.inf
+
+
+def test_every_local_beta_ball_keeps_most_of_its_draws(tmp_path):
+    # the benchmark's perimeter-beta and carleson runs: each local ball's
+    # sheared region holds the ball's projection in area 2 rho^3 (1 + pad)^2,
+    # so about 40 % of every local sample lands in its ball
+    fractions = []
+    real = beta._fit
+
+    def spy(sample, ball, p_exp, normalization, coarse):
+        res = real(sample, ball, p_exp, normalization, coarse)
+        fractions.append(res.n_in_ball / sample.n)
+        return res
+
+    runs = [["perimeter-beta", "--domain", _HOLDER, "--scales", "2^-3:2^1:1", *_OSC, "--format", "json"],
+            ["carleson", "--domain", _LIFT, "--radius", "1", "--p-exp", "4", *_OSC]]
+    with mock.patch.object(beta, "_fit", spy):
+        for i, argv in enumerate(runs):
+            assert cli.main(argv + ["--out", str(tmp_path / f"o{i}")]) == 0
+    assert len(fractions) == beta._N_OUTER * (4 + 7)  # radii up to the window radius, and 7 octaves
+    assert min(fractions) >= 0.35, min(fractions)
 
 
 def test_fit_decay_exact_power_laws():

@@ -186,12 +186,20 @@ def test_surface_sample_additivity():
     assert abs(m - (ml + mr)) <= 3 * math.hypot(se, math.hypot(sel, ser))
 
 
+def unpadded(region):
+    """The region without its pad: same centre and slope, half-extents / (1 + pad)."""
+    k = 1.0 + domains._PAD
+    ym, tm = 0.5 * (region.y0 + region.y1), 0.5 * (region.t0 + region.t1)
+    hy, ht = 0.5 * (region.y1 - region.y0) / k, 0.5 * (region.t1 - region.t0) / k
+    return domains.Rect(ym - hy, ym + hy, tm - ht, tm + ht, region.slope)
+
+
 def test_region_for_ball_covers_projections():
     rng = np.random.default_rng(2)
     for _ in range(5):
         center = rng.uniform(-2, 2, 3)
         ball = core.Ball(center, float(rng.uniform(0.3, 2.0)))
-        rect = domains.region_for_ball(ball, pad=0.0)
+        rect = unpadded(domains.region_for_ball(ball))
         m = rng.uniform(-1, 1, (20_000, 3))
         m *= (ball.radius / np.maximum(core.box_norm(m), 1e-9))[:, None] * rng.uniform(
             0, 1, 20_000
@@ -200,6 +208,50 @@ def test_region_for_ball_covers_projections():
         pts = pts[core.dist(pts, center) <= ball.radius]
         w = core.proj_vertical(pts)
         assert np.all(rect.contains_w(w))
+
+
+@pytest.mark.parametrize("cx", [0.0, 0.3, -0.7, 1.5, -1.5])
+def test_region_for_ball_area_does_not_depend_on_the_centre(cx):
+    # the c_x part of the projection's t-extent is a shear of slope c_x
+    for rho in (0.125, 1.0, 3.0):
+        region = domains.region_for_ball(core.Ball(core.point(cx, 0.4, -0.2), rho))
+        assert region.slope == cx
+        assert region.area == pytest.approx(2.0 * rho**3 * (1.0 + domains._PAD) ** 2, rel=1e-12)
+
+
+def test_sheared_sample_matches_plain_box_monte_carlo():
+    # the in-ball surface mass of a sheared region's sample against plain
+    # Monte Carlo over the region's upright bounding box, drawn here with its
+    # own seed; seven normal deviates all within 4 fail together with
+    # probability 4e-4
+    lift, holder = domains.euclidean_lift("abs", scale=0.5), domains.vertical_holder(1.0, 0.5)
+    cases = [
+        (lift, (0.6, 0.1), 0.25),
+        (lift, (-1.2, 0.3), 1.0),
+        (lift, (3.0, 0.0), 0.5),  # c_x = 1.5
+        (lift, (-3.0, -0.2), 0.125),
+        (holder, (0.4, 0.5), 0.5),
+        (holder, (-0.8, -2.0), 1.0),  # c_x = -0.71
+        (holder, (1.0, 0.2), 0.25),
+    ]
+    n = 40_000
+    zs = []
+    for i, (g, w, r) in enumerate(cases):
+        center = domains.graph_map(g, np.array(w))
+        ball = core.Ball(center, r)
+        region = domains.region_for_ball(ball)
+        assert region.slope != 0.0
+        s = domains.surface_sample(g, region, n, seed=40 + i)
+        sheared = s.weights * s.in_ball(ball) * n
+        h = 0.5 * abs(region.slope) * (region.y1 - region.y0)
+        y0, y1, t0, t1 = region.y0, region.y1, region.t0 - h, region.t1 + h
+        rng = np.random.default_rng([77, i])
+        wb = np.stack((rng.uniform(y0, y1, n), rng.uniform(t0, t1, n)), -1)
+        inside = core.dist(domains.graph_map(g, wb), center) <= r
+        box = (y1 - y0) * (t1 - t0) * domains._area_factor(domains.intrinsic_gradient(g, wb)) * inside
+        se = math.hypot(sheared.std(ddof=1), box.std(ddof=1)) / math.sqrt(n)
+        zs.append((sheared.mean() - box.mean()) / se)
+    assert max(abs(z) for z in zs) <= 4.0, zs
 
 
 def test_regularity_flat_ratio_constant():

@@ -377,22 +377,36 @@ def _lift_far_field_points(g):
 
 def _edge_points(g, ball, top):
     """Two graph points whose ladder patch of radius top only just meets the
-    ball's rectangle: one reaches from above into the rectangle's pad, where
-    the bump is 0, the other from the side into a thin slice of its support."""
+    ball's parallelogram: one reaches from above into the parallelogram's
+    pad, where the bump is 0, the other from the side into a thin slice of
+    its support.  Each patch is sheared by its own point's x, not the ball's."""
     region = domains.region_for_ball(ball)
-    unpadded = domains.region_for_ball(ball, pad=0.0)
-    cy, wt = 0.5 * (region.y0 + region.y1), 0.5 * (region.t0 + region.t1)
+    cy = 0.5 * (region.y0 + region.y1)
+    pad_t = 0.5 * (region.t1 - region.t0) * domains._PAD / (1.0 + domains._PAD)
     patch = lambda y, t: domains.region_for_ball(core.Ball(domains.graph_map(g, np.array([y, t])), top))
-    half = lambda y: 0.5 * (patch(y, 0.0).t1 - patch(y, 0.0).t0)
-    above = (cy, 0.5 * (region.t1 + unpadded.t1) + half(cy))
-    # the support's largest y, from a parameter grid over the rectangle
-    Y, T = np.meshgrid(np.linspace(region.y0, region.y1, 801), np.linspace(region.t0, region.t1, 801))
+    # over the patch's y-range the two slopes part by at most |c_x - p_x| * half the range
+    base = patch(cy, 0.0)
+    tilt = abs(region.slope - base.slope) * 0.5 * (base.y1 - base.y0)
+    above = (cy, region.t1 - 0.5 * pad_t + tilt + 0.5 * (base.t1 - base.t0))
+    # the support's point of largest y, from a parameter grid over the bounding box
+    h = 0.5 * abs(region.slope) * (region.y1 - region.y0)
+    Y, T = np.meshgrid(np.linspace(region.y0, region.y1, 801), np.linspace(region.t0 - h, region.t1 + h, 801))
     grid = np.stack((Y.ravel(), T.ravel()), -1)
     psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius)
     inside = grid[riesz.bump(psi, domains.graph_map(g, grid)) > 0.0]
-    side = (inside[:, 0].max() - 0.03 + 1.05 * top, wt)
-    assert patch(*above).meets(region) and patch(*above).t0 > unpadded.t1
-    side_patch = patch(*side)
+    edge = inside[np.argmax(inside[:, 0])]
+    side_y = edge[0] - 0.03 + 0.5 * (base.y1 - base.y0)
+    side_slope = patch(side_y, 0.0).slope
+    side = (side_y, edge[1] + side_slope * (side_y - edge[0]))
+    # the upper patch meets the parallelogram but none of its points lies
+    # below the pad; the side patch holds support points near its left edge
+    above_patch, side_patch = patch(*above), patch(*side)
+    Ya, Ta = np.meshgrid(np.linspace(above_patch.y0, above_patch.y1, 401),
+                         np.linspace(above_patch.t0, above_patch.t1, 401))
+    wa = np.stack((Ya.ravel(), Ta.ravel() + above_patch.shear(Ya.ravel())), -1)
+    assert above_patch.meets(region) and np.any(region.contains_w(wa))
+    below_pad = domains.Rect(region.y0, region.y1, region.t0, region.t1 - pad_t, region.slope)
+    assert not np.any(below_pad.contains_w(wa))
     assert np.any(side_patch.contains_w(inside))
     assert region.y1 - side_patch.y0 < 0.1 * (side_patch.y1 - side_patch.y0)
     return domains.graph_map(g, np.array([above, side]))
