@@ -481,19 +481,19 @@ def _exp_riesz_test(cfg: ExperimentConfig):
     points = domains.graph_map(g, w)
     balls = [core.Ball(core.point(*cfg.center), r) for r in _radii(cfg)]
     scan = riesz.testing_scan(g, balls, cfg.eps_grid, points, n=cfg.samples, seed=cfg.seed)
+    # a ball none of whose uniform draws meets its bump has no rows
+    failures = [f"violated invariant: 0 sample points in the support of the bump at r={ball.radius:g}"
+                for ball, inside in zip(balls, scan.support_draws) if not inside]
     rows = []
     for row in scan.rows:
         rows.append((g.label, _fmt_point(row.ball_center), row.ball_radius, row.eps,
                      _fmt_point(row.p), row.op.real, row.op.imag, row.adj.real, row.adj.imag,
                      max(row.op_stderr, row.adj_stderr), cfg.samples, cfg.seed))
-    summary = {
-        "sup_op": scan.sup(False),
-        "sup_adj": scan.sup(True),
-        "median_op": scan.median_abs(False),
-        "median_adj": scan.median_abs(True),
-        "failures": [],
-    }
-    return _RIESZ_COLUMNS, rows, summary, True
+    op = [abs(row.op) for row in scan.rows] or [math.nan]
+    adj = [abs(row.adj) for row in scan.rows] or [math.nan]
+    summary = {"sup_op": max(op), "sup_adj": max(adj), "median_op": float(np.median(op)),
+               "median_adj": float(np.median(adj)), "failures": failures}
+    return _RIESZ_COLUMNS, rows, summary, not failures
 
 
 def _exp_carleson(cfg: ExperimentConfig):

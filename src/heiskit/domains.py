@@ -193,16 +193,6 @@ class Rect:
         """The t offset slope (y - ym) of the region at parameter y."""
         return self.slope * (y - 0.5 * (self.y0 + self.y1))
 
-    def _t_span(self) -> tuple[float, float]:
-        h = 0.5 * abs(self.slope) * (self.y1 - self.y0)
-        return self.t0 - h, self.t1 + h
-
-    def meets(self, other: "Rect") -> bool:
-        """Whether the bounding boxes of the two regions share a point;
-        regions whose boxes are disjoint are disjoint."""
-        (a0, a1), (b0, b1) = self._t_span(), other._t_span()
-        return self.y0 <= other.y1 and other.y0 <= self.y1 and a0 <= b1 and b0 <= a1
-
     def contains_w(self, w: np.ndarray) -> np.ndarray:
         """Membership mask for (..., 2) plane coordinates."""
         w = np.asarray(w, dtype=float)
@@ -243,7 +233,7 @@ class WeightedSample:
 
     points are the graph points Phi(w_i); weights are
     sqrt(1 + grad(w_i)^2) * area(region) / n, so that sums of weights
-    approximate the surface measure of the sampled patch up to one global
+    approximate the surface measure of the sampled region up to one global
     constant shared by all samples.  grad, when present, is the intrinsic
     gradient behind each weight; callers that need the unit normal form it
     from grad on the samples they use.

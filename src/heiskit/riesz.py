@@ -11,9 +11,10 @@ experiment checks, by central differences along the frames, that G is
 harmonic for the left and right horizontal Laplacians and that the left
 and right horizontal divergences differ by the t-derivative of the torsion
 term.  testing_scan is the one sum of K and Kstar against a sampled graph
-measure: it multiplies both kernels by the smooth exterior cutoff at every
-truncation scale.  divergence_check integrates the divergence of a bump
-field over the field's support ball, the one volume sampler of quadrature.
+measure, at each point a mixture of a uniform and a shell sample: it
+multiplies both kernels by the smooth exterior cutoff at every truncation
+scale.  divergence_check integrates the divergence of a bump field over the
+field's support ball, the one volume sampler of quadrature.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point
-from .domains import IntrinsicGraph, WeightedSample, _unit_normal, region_for_ball, surface_sample
-from .quadrature import Estimate, SampleConfig, _estimate_from_moments, _moments, integrate_ball
+from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point, proj_vertical
+from .domains import (IntrinsicGraph, Rect, _unit_normal, graph_map, intrinsic_gradient, region_for_ball,
+                      surface_sample)
+from .quadrature import (Estimate, SampleConfig, _estimate_from_moments, _map_chunks, _mc_chunks, _moments,
+                         integrate_ball)
 
 __all__ = [
     "KERNEL_DEGREES",
@@ -271,7 +274,9 @@ def bump(spec: BumpSpec, p) -> np.ndarray:
 
 
 class SparseSampleWarning(UserWarning):
-    """Surface sample spacing is coarse relative to the truncation radius."""
+    """Surface draws are sparse at a truncation radius: testing_scan warns
+    when its draws per unit area at nu = 2 eps, n / |Rg| + n h_p(2 eps), fall
+    below 16 / eps^2, i.e. when their mean spacing there exceeds eps / 4."""
 
 
 @dataclass(frozen=True)
@@ -288,19 +293,51 @@ class TestingScanRow:
 
 @dataclass(frozen=True)
 class TestingScan:
+    """The rows, ball by ball, and for each ball the count of its uniform
+    draws where f is not 0; a ball whose count is 0 is degenerate and has
+    no rows."""
+
     rows: list[TestingScanRow]
-    n: int
-    seed: int
-
-    def sup(self, adjoint: bool = False) -> float:
-        return max(abs(r.adj if adjoint else r.op) for r in self.rows)
-
-    def median_abs(self, adjoint: bool = False) -> float:
-        return float(np.median([abs(r.adj if adjoint else r.op) for r in self.rows]))
+    support_draws: list[int]
 
 
-# The innermost ladder patch is this many times the smallest truncation scale.
-_PATCH_FACTOR = 8.0
+class _Shell:
+    """The shell sample of n draws around p, and the mixture's draw density.
+
+    On the parameter plane p's sheared quasi-norm is nu(w) = max(|dy|,
+    sqrt(2 |dtau|)), dy = y - y_p, dtau = t - t_p - x_p dy, (y_p, t_p) the
+    projection of p; {nu <= rho} is the unpadded region_for_ball(B(p, rho)),
+    of area 2 rho^3.  A draw takes rho log-uniform on [rho0, rho1] and (a, b)
+    uniform on the unit nu-ball [-1, 1] x [-1/2, 1/2] and dilates (a, b)
+    onto the nu-sphere of radius rho, so its density is h(w) = 1 / (6 L nu^3)
+    on [rho0, rho1], L = log(rho1 / rho0).  rho1 is the largest nu over the
+    region's corners (nu is a maximum of convex functions), at least 2 rho0.
+    """
+
+    def __init__(self, p: np.ndarray, region: Rect, n: int, rho0: float, seed: int):
+        (self.y, self.t), self.slope = proj_vertical(p), p[0]
+        self.uniform_density, self.n, self.rho0, self.seed = n / region.area, n, rho0, seed
+        ys = np.array([region.y0, region.y0, region.y1, region.y1])
+        corners = np.stack((ys, np.array([region.t0, region.t1] * 2) + region.shear(ys)), -1)
+        self.rho1 = max(float(np.max(self.nu(corners))), 2.0 * rho0)
+        self.log_ratio = math.log(self.rho1 / rho0)
+
+    def nu(self, w: np.ndarray) -> np.ndarray:
+        dy = w[..., 0] - self.y
+        return np.maximum(np.abs(dy), np.sqrt(2.0 * np.abs(w[..., 1] - self.t - self.slope * dy)))
+
+    def density(self, nu) -> np.ndarray:
+        """Draws per unit area of both samples in the region, n / |Rg| + n h, at nu."""
+        h = 1.0 / (6.0 * self.log_ratio * np.maximum(nu, self.rho0) ** 3)
+        return self.uniform_density + self.n * np.where((nu >= self.rho0) & (nu <= self.rho1), h, 0.0)
+
+    def draw(self, i: int, size: int) -> np.ndarray:
+        rng = np.random.default_rng([self.seed, i])  # chunk i's own stream
+        rho = self.rho0 * np.exp(self.log_ratio * rng.random(size))
+        a = 2.0 * rng.random(size) - 1.0
+        b = rng.random(size) - 0.5
+        s = rho / np.maximum(np.abs(a), np.sqrt(2.0 * np.abs(b)))
+        return np.stack((self.y + s * a, self.t + self.slope * s * a + s * s * b), -1)
 
 
 def testing_scan(
@@ -314,109 +351,81 @@ def testing_scan(
     """Table of smooth-truncated transforms of accretive ball bumps.
 
     For each ball the test function f is the interior bump times the unit
-    graph normal.  The surface quadrature is stratified over the parameter
-    plane.  Around each evaluation point p a geometric ladder of patches,
-    the parallelograms region_for_ball gives the balls B(p, r_k) for r_k
-    from 8 times the smallest truncation scale up to twice the ball radius,
-    resolves the kernel at every scale: the patches share p's centre and
-    slope, so they are nested, stratum k samples patch k minus patch k - 1,
-    and a coarse sample of the ball's parallelogram, shared by all points,
-    covers the rest of it.  The strata partition the plane, so the combined
-    sum stays unbiased; without the ladder the small-eps columns would be
-    dominated by near-singularity sampling noise.
-
-    Each stratum stands for n samples, but only those where f and some
-    cutoff are non-zero reach the kernel, so the cost scales with the
-    samples that meet the bump.  f vanishes off the ball, whose
-    parallelogram covers the vertical projections of its points, and a
-    graph point projects to its own parameter; so a patch whose bounding
-    box misses that parallelogram's adds exactly 0 and is not drawn, while
-    the other strata keep their own seeded streams.  The zeros left out
-    enter each stratum's stderr in closed form.  An empty eps grid, or an
-    eps that is not positive and finite, raises ValueError.
+    graph normal; it vanishes off the ball's parallelogram Rg =
+    region_for_ball(ball).  At each evaluation point p the surface integral
+    is a defensive mixture of two samples of n draws: a uniform sample of
+    Rg, shared by every point, and p's shell sample (see _Shell), drawn
+    through the chunk map.  Each draw w of either sample is weighted by the
+    balance heuristic, area factor / (n / |Rg| + n h_p(w)): the uniform half
+    covers Rg, so the sum is unbiased, and near p the -3-homogeneous kernel
+    times the weight stays bounded.  The shell starts at half the radius
+    below which every cutoff vanishes.  Only draws where f and some cutoff
+    are not 0 reach the kernel (shell draws off Rg are dropped before they
+    are pushed to the graph), and the zeros left out enter each sample's
+    stderr in closed form.  An empty eps grid, or an eps that is not
+    positive and finite, raises ValueError.
     """
-    rows: list[TestingScanRow] = []
+    rows, support_draws = [], []
     eps_grid = [float(e) for e in eps_grid]
-    # the ladder doubles from a multiple of the smallest eps, so it must be
-    # > 0; an infinite eps truncates everything away and reads as 0
+    # the shell starts at a fraction of the smallest eps, so it must be > 0
+    # for log(rho1 / rho0); an infinite eps truncates everything away
     if not eps_grid or not all(0.0 < e < math.inf for e in eps_grid):
         raise ValueError(f"eps grid must be non-empty with every eps positive and finite, got {eps_grid}")
     pts = [as_points(p) for p in points]
-    rho = _PATCH_FACTOR * min(eps_grid)
     eps_floor = _SQRT2_4 * min(eps_grid)  # below this radius every cutoff vanishes
     for bi, ball in enumerate(balls):
         region = region_for_ball(ball)
         psi = BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
-        coarse = _bump_samples(psi, surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi)))
+        uniform = surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi))
+        w_u, q_u, fa_u = _bump_samples(psi, uniform.w, uniform.points, uniform.grad)
+        support_draws.append(len(w_u))
+        if not len(w_u):
+            continue
         for pi, p in enumerate(pts):
-            tag = 1000 + 16 * (bi * len(pts) + pi)
-            ladder = []
-            r_k = rho
-            while r_k < 2.0 * ball.radius:
-                ladder.append(r_k)
-                r_k *= 2.0
-            patches = [region_for_ball(Ball(p, r_k)) for r_k in ladder]
-            # each stratum as its f != 0 samples and the patch it leaves out
-            layers = [
-                (_bump_samples(psi, surface_sample(g, patch, n, seed=_scan_seed(seed, tag + k))),
-                 patches[k - 1] if k else None)
-                for k, patch in enumerate(patches)
-                if patch.meets(region)
+            shell = _Shell(p, region, n, 0.5 * eps_floor, _scan_seed(seed, 1000 + bi * len(pts) + pi))
+
+            def push(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                w = w[region.contains_w(w)]
+                w, q, fa = _bump_samples(psi, w, graph_map(g, w), intrinsic_gradient(g, w))
+                return _kernel_terms(p, q, fa / shell.density(shell.nu(w)), eps_floor)
+
+            # each sample as (koranyi norm, (K, Kstar) times f * weight) of its kept draws
+            strata = [
+                _kernel_terms(p, q_u, fa_u / shell.density(shell.nu(w_u)), eps_floor),
+                tuple(np.concatenate(part, axis=-1) for part in zip(*_map_chunks(shell.draw, _mc_chunks(n), push))),
             ]
-            layers.append((coarse, patches[-1] if patches else None))
-            strata = []
-            for (w, q, fw), hole in layers:
-                if hole is not None:
-                    keep = ~hole.contains_w(w)
-                    q, fw = q[keep], fw[keep]
-                m = mul(inv(q), p)
-                kor = koranyi_norm(m)
-                near = kor > eps_floor
-                # (K, Kstar) times f * weight, one row each
-                strata.append((kor[near], np.stack(_kernel_pair(m[near])) * fw[near]))
-            spacings = [math.sqrt(rect.area / n) for rect in patches + [region]]
             for eps in eps_grid:
-                # the kernel annulus at this scale sits inside a patch iff
-                # the metric ball of radius 2*eps does
-                spacing = spacings[-1]
-                for k, r_k in enumerate(ladder):
-                    if 2.0 * eps <= r_k:
-                        spacing = spacings[k]
-                        break
-                if spacing > eps / 4.0:
-                    warnings.warn(
-                        f"surface sample spacing {spacing:.3g} exceeds eps/4 = {eps / 4.0:.3g}",
-                        SparseSampleWarning,
-                        stacklevel=2,
-                    )
+                density = float(shell.density(2.0 * eps))
+                if density < 16.0 / eps**2:
+                    warnings.warn(f"surface draw density {density:.3g} at 2 eps is below 16/eps^2 = "
+                                  f"{16.0 / eps**2:.3g}", SparseSampleWarning, stacklevel=2)
                 spec = BumpSpec(radius=eps, kind="phi_eps_exterior")
                 total, var = np.zeros(2, dtype=complex), np.zeros(2)  # (op, adj)
                 for kor, base in strata:
                     terms = base * _profile(spec, kor / eps)
                     total += terms.sum(axis=-1)
-                    # the stratum's sum is n times its mean, left-out samples being zeros
+                    # the sample's sum is n times its mean, left-out draws being zeros
                     var += _estimate_from_moments(*_moments(terms, n), n).stderr ** 2
-                rows.append(
-                    TestingScanRow(
-                        ball_center=tuple(float(c) for c in ball.center),
-                        ball_radius=ball.radius,
-                        eps=eps,
-                        p=tuple(float(c) for c in p),
-                        op=complex(total[0]),
-                        op_stderr=math.sqrt(var[0]),
-                        adj=complex(total[1]),
-                        adj_stderr=math.sqrt(var[1]),
-                    )
-                )
-    return TestingScan(rows=rows, n=n, seed=seed)
+                rows.append(TestingScanRow(
+                    ball_center=tuple(float(c) for c in ball.center), ball_radius=ball.radius, eps=eps,
+                    p=tuple(float(c) for c in p), op=complex(total[0]), op_stderr=math.sqrt(var[0]),
+                    adj=complex(total[1]), adj_stderr=math.sqrt(var[1])))
+    return TestingScan(rows=rows, support_draws=support_draws)
 
 
-def _bump_samples(psi: BumpSpec, sample: WeightedSample):
-    """(w, graph points, f * weight) at the samples where f = psi * nu is not 0."""
-    fvals = bump(psi, sample.points)
+def _bump_samples(psi: BumpSpec, w: np.ndarray, points: np.ndarray, grad: np.ndarray):
+    """(w, graph points, f * area factor = psi * (1 - i grad)) where f = psi * unit normal is not 0."""
+    fvals = bump(psi, points)
     nz = fvals != 0.0
-    nu = _unit_normal(sample.grad[nz])
-    return sample.w[nz], sample.points[nz], fvals[nz] * nu * sample.weights[nz]
+    return w[nz], points[nz], fvals[nz] * (1.0 - 1j * grad[nz])
+
+
+def _kernel_terms(p: np.ndarray, q: np.ndarray, fw: np.ndarray, eps_floor: float):
+    """(koranyi norm, (K, Kstar) times fw) of q^-1 p at the draws where it exceeds eps_floor."""
+    m = mul(inv(q), p)
+    kor = koranyi_norm(m)
+    near = kor > eps_floor
+    return kor[near], np.stack(_kernel_pair(m[near])) * fw[near]
 
 
 def _scan_seed(seed: int, k: int) -> int:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -176,7 +177,7 @@ def test_every_setting_is_a_flag_of_every_experiment():
     ["perimeter-beta", "--samples", "4"],
 ])
 def test_out_of_range_scan_settings_exit_2_before_sampling(argv, capsys):
-    # at eps <= 0 the patch ladder of testing_scan never reaches 2R;
+    # at eps <= 0 the log(rho1 / rho0) of testing_scan's shell sample is undefined;
     # p < 1 turns the zero beta numbers of a flat graph into 0^p = 1 or 1/0,
     # and p = inf every beta number below 1 into 0; below 50 samples a local
     # beta ball would draw samples // 50 = 0 points
@@ -428,6 +429,27 @@ def test_beta_scan_near_empty_ball_is_a_violated_invariant(tmp_path, capsys, see
     assert payload["rows"] == []
     err = capsys.readouterr().err
     assert f"violated invariant: {inside} sample points in the ball" in err
+    assert "config error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--domain", "lift:phi0=abs,scale=0.5", "--radius", "0.5", "--samples", "1", "--seed", "0",
+     "--eps-grid", "0.5,0.25"],
+    ["--domain", "flat:theta=0,offset=0", "--center", "100,0,0", "--radius", "0.5", "--samples", "100000"],
+])
+def test_riesz_test_empty_support_is_a_violated_invariant(tmp_path, capsys, argv):
+    # one draw that misses the bump, or a ball far off the graph: no uniform
+    # draw meets the bump, so the rows would be 0 +- 0
+    out = tmp_path / "riesz.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", riesz.SparseSampleWarning)
+        code = run_main(["riesz-test", *argv, "--format", "json", "--out", str(out)])
+    assert code == 1
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["passed"] is False
+    assert payload["rows"] == []
+    err = capsys.readouterr().err
+    assert "violated invariant: 0 sample points in the support of the bump at r=0.5" in err
     assert "config error" not in err
 
 
