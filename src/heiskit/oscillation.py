@@ -17,11 +17,13 @@ most once, at t = T, so the gap at shift s is 1 on the line exactly for t in
 [T - s^2, T): each sample point contributes the exact mean of its gap over
 the ball's vertical fibre through it, and no indicator is evaluated.  This
 conditions the t coordinate away: the pass draws only the (x, y) of the
-ball's nodes, the estimand is the same and the variance smaller, and where
-every fibre gives the same number (a slab and a ball centred on the t-axis)
-the stderr is 0, exact up to rounding.  Any other oracle takes the sampled
-path, which draws the full ball sample and evaluates the indicator at every
-point and every shift.
+ball's nodes, the estimand is the same and the variance smaller.  It draws
+them as R >= 32 independent scrambled Sobol nets (see quadrature), and each
+estimate is the mean of the R net means with the stderr of their spread;
+where every fibre gives the same number (a slab and a ball centred on the
+t-axis) that stderr is 0, exact up to rounding.  Any other oracle takes the
+sampled path, which draws the full ball sample and evaluates the indicator
+at every point and every shift; its replicates are single points.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class ScaleGrid:
 def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
     """|chi(p) - chi(p * (0, 0, s^2))| at the ball's sample points, for each
     node s in turn; with a crossing, its mean over each point's fibre, read
-    from the points' (x, y) alone (pts may then be (m, 2))."""
+    from the points' (x, y) alone (pts may then be (..., 2))."""
     crossing = getattr(omega, "crossing", None)
     if crossing is None:
         base = omega.indicator(pts)
@@ -92,7 +94,7 @@ def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
     # B(c, r) = c * B(0, r), so its fibre over (x, y) is [t_c - r^2/4,
     # t_c + r^2/4] with t_c = c_t + (c_x y - x c_y)/2; the gap is 1 on it
     # exactly for t in [T - s^2, T).
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = pts[..., 0], pts[..., 1]
     cx, cy, ct = ball.center
     tc = ct + 0.5 * (cx * y - x * cy)
     length = 0.5 * ball.radius**2
@@ -106,15 +108,21 @@ def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
 def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     """v(ball)(s) at every node s and, last, their average over the nodes,
     as arrays of correlated estimates from one pass over one ball sample;
-    a domain with a crossing draws only the sample's (x, y)."""
+    a domain with a crossing draws only the sample's (x, y), as scrambled
+    nets.  Each chunk's leading axis holds its independent replicates, the
+    nets or, on the sampled path, single points: the moments are those of
+    one mean per replicate."""
     sample = _ball_chunks if getattr(omega, "crossing", None) is None else _disc_chunks
 
     def moments(pts):
+        def replicate_means(d):
+            return d.reshape(len(pts), -1).mean(axis=1)
+
         parts, total = [], 0
         for d in _gaps(omega, ball, pts, nodes):
-            parts.append(_moments(d))
+            parts.append(_moments(replicate_means(d)))
             total = total + d
-        means, m2s, _ = zip(*parts, _moments(total / len(nodes)))
+        means, m2s, _ = zip(*parts, _moments(replicate_means(total / len(nodes))))
         return np.array(means), np.array(m2s), len(pts)
 
     return _estimate_from_moments(*_merge_moments(_map_chunks(*sample(ball, cfg), moments)), ball.volume)
@@ -140,8 +148,8 @@ def perimeter_profile(
 
     One shared point sample serves every node and the average, so the
     entries are correlated but each carries its own Monte-Carlo stderr; the
-    average's is that of the per-point node average.  Returns (the nodes,
-    the profile with array value and stderr, osc).
+    average's is that of the node average over the sample's replicates.
+    Returns (the nodes, the profile with array value and stderr, osc).
     """
     if s_nodes < 1:
         raise ValueError("need at least 1 scale node")
@@ -156,7 +164,7 @@ def osc(omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32) -> Estimate:
     """Oscillation coefficient: average over s in (0, r] of v(ball)(s)/r^4.
 
     Midpoint nodes in s (the perimeter is bounded and continuous in s for
-    indicator oracles); the stderr is that of the per-point node average.
+    indicator oracles); the stderr is that of the node average.
     The estimate is bounded by pi/2 by construction, since the integrand
     never exceeds the unit indicator difference.
     """

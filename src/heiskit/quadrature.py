@@ -8,8 +8,11 @@ serial result bit for bit; the worker count comes from the HEISKIT_WORKERS
 environment variable (default 1).  One chunk map owns that thread pool; it
 runs integrate_ball, the gap pass of oscillation and domains.surface_sample.
 The metric ball is the one volume sampler.  Where the gap pass reads only
-(x, y) it draws the ball's disc alone: the first two of each node's three
-draws, so that stream agrees with the ball's in (x, y) bit for bit.  Every
+(x, y) it draws the ball's disc alone, as randomised quasi-Monte Carlo:
+R >= 32 independent scrambled Sobol nets of 2^m points each (Owen, Ann.
+Statist. 25, 1997), every chunk packing whole nets scrambled from (seed,
+chunk), so the bits stay independent of the worker count.  An estimate from
+nets is the mean of the R net means, and its stderr is their spread.  Every
 mean and stderr in the package comes from one accumulator: _moments,
 _merge_moments and _estimate_from_moments.
 """
@@ -80,8 +83,10 @@ class SampleConfig:
 class Estimate:
     """A numerical integral with its statistical error.
 
-    stderr is the sample standard deviation of the integrand divided by
-    sqrt(n), times the volume normalisation.  value and stderr may also be
+    n counts the independent replicates behind the estimate: sample points,
+    or on the fibre pass of oscillation the scrambled nets.  stderr is the
+    sample standard deviation of the replicate means divided by sqrt(n),
+    times the volume normalisation.  value and stderr may also be
     arrays of per-component estimates sharing one n, as in the profile
     that oscillation.perimeter_profile returns.
     """
@@ -108,15 +113,14 @@ def _mc_chunks(n: int) -> list[tuple[int, int]]:
     return [(i, min(CHUNK, n - i * CHUNK)) for i in range(-(-n // CHUNK))]
 
 
-def _disc_chunk(rng: np.random.Generator, m: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of m points uniform w.r.t. area on the disc |z| <= radius.
+def _disc(u: np.ndarray, v: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) on the disc |z| <= radius of (u, v) in the unit square.
 
-    Polar coordinates: radius r*sqrt(u) makes the areal density uniform.
-    These are the first two of the cylinder's three draws.
+    Polar coordinates: radius r*sqrt(u) makes the areal density uniform, and
+    v is the angle's fraction of a turn.
     """
-    u = rng.random(m)
-    ang = rng.random(m) * (2.0 * math.pi)
     rad = radius * np.sqrt(u)
+    ang = v * (2.0 * math.pi)
     return rad * np.cos(ang), rad * np.sin(ang)
 
 
@@ -124,13 +128,50 @@ def _cylinder_chunk(rng: np.random.Generator, m: int, radius: float) -> np.ndarr
     """m points uniform w.r.t. Lebesgue measure on B(0, radius).
 
     The ball is the cylinder {|z| <= r} x {|t| <= r^2/4}, so no rejection is
-    needed: draw the disc part (see _disc_chunk) and the t part uniformly on
-    the slab.  Draw order (u, angle, t) is fixed; changing it would silently
+    needed: draw the disc part (see _disc) and the t part uniformly on the
+    slab.  Draw order (u, angle, t) is fixed; changing it would silently
     change every seeded result.
     """
-    x, y = _disc_chunk(rng, m, radius)
+    x, y = _disc(rng.random(m), rng.random(m), radius)
     tt = (rng.random(m) - 0.5) * (0.5 * radius**2)
     return np.stack((x, y, tt), axis=-1)
+
+
+def _direction_words() -> np.ndarray:
+    """Direction words of Sobol dimensions 1 and 2, binary digit k of each
+    in bit 31 - k: dimension 1 is van der Corput's (v_k = 2^-k), and
+    dimension 2 that of the primitive polynomial x + 1, v_k = v_{k-1} xor
+    v_{k-1} / 2."""
+    v2 = [1 << 31]
+    for _ in range(31):
+        v2.append(v2[-1] ^ v2[-1] >> 1)
+    return np.array([[1 << 31 - k for k in range(32)], v2], dtype=np.uint32)
+
+
+_SOBOL = _direction_words()
+_DIGITS = _SOBOL[0]  # the bit of each digit
+
+
+def _nets(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
+    """(count, 2^m, 2) points of the unit square: count independent scrambled nets.
+
+    Each net is the first 2^m Sobol points under a random linear matrix
+    scramble (a lower-triangular binary matrix with unit diagonal per
+    dimension) and a random digital shift, which keeps it a (0, m, 2)-net in
+    base 2 and makes each point uniform on the 2^-32 grid, centred in its
+    cell.  Scrambling is linear in the digits, so the scrambled net is built
+    by doubling from the scrambled direction words.  With m = 0 the nets are
+    single uniform points.
+    """
+    draws = rng.integers(0, 1 << 32, size=(count, 2, 33), dtype=np.uint32)
+    # column j of a scramble keeps digit j and draws the digits below it
+    cols = draws[..., :32] & (_DIGITS - np.uint32(1)) | _DIGITS
+    has = (_SOBOL[:, :m, None] & _DIGITS) != 0
+    words = np.bitwise_xor.reduce(np.where(has, cols[:, :, None, :], np.uint32(0)), axis=-1)
+    pts = draws[:, None, :, 32]  # the shifted point 0
+    for k in range(m):
+        pts = np.concatenate((pts, pts ^ words[:, None, :, k]), axis=1)
+    return (pts + 0.5) * 2.0**-32
 
 
 # (make_chunk, chunks): make_chunk(i, size) builds the nodes of chunk i
@@ -168,18 +209,24 @@ def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
 
 
 def _disc_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
-    """(make_chunk, chunks) of the (x, y) of the ball's nodes, as (m, 2) arrays.
+    """(make_chunk, chunks) of points uniform on the ball's disc, as
+    (nets, 2^m, 2) arrays of scrambled nets.
 
-    The same stream as _ball_chunks without its t draws: a left translation
-    moves (x, y) by the center's (x, y), exactly as mul adds them.
+    m = floor(log2(n / 32)), capped so that a net fits in a chunk, makes
+    R = n >> m >= 32 nets (n when n < 32); the R * 2^m <= n points are
+    (x, y) of uniform points of the ball, since a left translation moves
+    (x, y) by the center's (x, y).  Chunk i packs CHUNK >> m whole nets and
+    draws their scrambles from (seed, i).
     """
     cx, cy = ball.center[0], ball.center[1]
+    m = min(max((cfg.n // 32).bit_length() - 1, 0), CHUNK.bit_length() - 1)
 
     def make(i: int, size: int) -> np.ndarray:
-        x, y = _disc_chunk(np.random.default_rng([cfg.seed, i]), size, ball.radius)
+        net = _nets(np.random.default_rng([cfg.seed, i]), size >> m, m)
+        x, y = _disc(net[..., 0], net[..., 1], ball.radius)
         return np.stack((cx + x, cy + y), axis=-1)
 
-    return make, _mc_chunks(cfg.n)
+    return make, _mc_chunks(cfg.n >> m << m)
 
 
 def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:

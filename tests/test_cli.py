@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -275,8 +277,9 @@ def test_osc_scan_flat_zero_column(tmp_path, capsys):
 
 
 def test_cli_determinism_and_parallel(tmp_path):
-    # 150,000 samples make three chunks, so the pool runs and a chunk-order
-    # bug would show in the osc and profile columns
+    # 150,000 samples make 36 scrambled nets of 4,096 points, packed 16 to
+    # a chunk in three chunks, so the pool runs and a chunk-order bug would
+    # show in the osc and profile columns
     args = [
         "osc-scan", "--domain", "holder:H=1,tau=0.5", "--radius", "1",
         "--samples", "150000", "--seed", "5",
@@ -306,9 +309,11 @@ def test_osc_row_is_the_mean_of_its_profile(tmp_path):
 
 
 def test_riesz_test_identical_across_workers(tmp_path):
+    # 150,000 samples make three chunks of the uniform and the shell
+    # samples, so the pool runs
     args = [
         "riesz-test", "--domain", "lift:phi0=abs,scale=0.5", "--radii", "0.5,1",
-        "--samples", "20000", "--seed", "5", "--eps-grid", "2^-1..2^-4",
+        "--samples", "150000", "--seed", "5", "--eps-grid", "2^-1..2^-4",
     ]
     outs = []
     for workers in ("1", "4"):
@@ -316,6 +321,28 @@ def test_riesz_test_identical_across_workers(tmp_path):
         with mock.patch.dict(os.environ, {"HEISKIT_WORKERS": workers}):
             assert run_main(args + ["--out", str(outs[-1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_fibre_path_does_not_import_scipy(tmp_path):
+    # the nets are drawn with numpy alone: importing scipy.stats.qmc costs
+    # 65-71 MB of peak RSS and 1-1.3 s (2-core Xeon VM), which would double
+    # the peak RSS of an osc-scan and dini run
+    argvs = [
+        [name, "--domain", "holder:H=1,tau=0.5", *extra, "--samples", "20000", "--seed", "3",
+         "--out", str(tmp_path / f"{name}.csv")]
+        for name, extra in (("osc-scan", ["--radii", "0.5,1"]), ("dini", ["--scales", "2^-1:1:1"]))
+    ]
+    code = (
+        "import sys\n"
+        "from heiskit import cli\n"
+        f"assert all(cli.main(argv) == 0 for argv in {argvs!r})\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_invariants_experiment(tmp_path):

@@ -212,37 +212,86 @@ def test_perimeter_profile_moments_match_one_pass():
         assert v > 0.0
 
 
+def _disc_nets(ball, cfg):
+    """The fibre pass's (x, y) sample, as one (R, 2^m, 2) array of nets."""
+    return np.concatenate(_map_chunks(*_disc_chunks(ball, cfg), lambda p: p))
+
+
+@pytest.mark.parametrize("n, m, reps", [(150_000, 12, 36), (5_000, 7, 39), (100, 1, 50), (40, 0, 40), (7, 0, 7)])
+def test_disc_nets_are_0_m_2_nets(n, m, reps):
+    # R = n >> m nets of 2^m points, m = floor(log2(n / 32)), no two alike
+    # (each chunk draws its own scrambles); mapped back to the unit square,
+    # every net holds exactly one point in each elementary box
+    # 2^-k x 2^-(m - k), for every k in 0..m
+    ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
+    nets = _disc_nets(ball, SampleConfig(n=n, seed=5))
+    assert nets.shape == (reps, 1 << m, 2)
+    assert len(np.unique(nets[:, 0], axis=0)) == reps
+    dx, dy = nets[..., 0] - ball.center[0], nets[..., 1] - ball.center[1]
+    u = (dx * dx + dy * dy) / ball.radius**2
+    v = np.arctan2(dy, dx) / (2.0 * math.pi) % 1.0
+    for k in range(m + 1):
+        box = np.floor(u * 2**k).astype(np.int64) << (m - k) | np.floor(v * 2 ** (m - k)).astype(np.int64)
+        np.testing.assert_array_equal(np.sort(box, axis=1), np.broadcast_to(np.arange(1 << m), box.shape))
+
+
 def test_fibre_profile_moments_match_one_pass():
-    # the fibre fractions of the concatenated 3-D ball stream: their mean
-    # and std are the merged chunk moments of the disc draw, which is that
-    # stream's (x, y) bit for bit, and at a few points each is the mean of
-    # the indicator gap over midpoint nodes of the point's fibre in the
-    # ball, which errs by at most one node at each of its two jumps
+    # each profile entry and osc are the mean and standard error of the R
+    # per-net means of the fibre fractions, and at a few points each
+    # fraction is the mean of the indicator gap over midpoint nodes of the
+    # point's fibre in the ball, which errs by at most one node at each of
+    # its two jumps
     dom = domains.vertical_holder(1.0, 0.5)
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=5)
-    mids, prof, _ = perimeter_profile(dom, ball, cfg, s_nodes=4)
-    pts = np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda p: p))
-    disc = np.concatenate(_map_chunks(*_disc_chunks(ball, cfg), lambda p: p))
-    np.testing.assert_array_equal(disc, pts[:, :2])
+    mids, prof, est = perimeter_profile(dom, ball, cfg, s_nodes=4)
+    nets = _disc_nets(ball, cfg)
     scale = ball.volume / ball.radius**4
-    fractions = list(_gaps(dom, ball, pts, mids))
-    for d, v, e in zip(fractions, prof.value, prof.stderr):
-        assert v == pytest.approx(scale * d.mean(), rel=1e-12)
-        assert e == pytest.approx(scale * np.std(d, ddof=1) / math.sqrt(len(d)), rel=1e-12)
-        assert v > 0.0
+    fractions = list(_gaps(dom, ball, nets, mids))
+    per_net = [d.mean(axis=1) for d in fractions]
+    per_net.append(np.mean(fractions, axis=0).mean(axis=1))
+    for means, v, e in zip(per_net, [*prof.value, est.value], [*prof.stderr, est.stderr]):
+        assert v == pytest.approx(scale * means.mean(), rel=1e-12)
+        assert e == pytest.approx(scale * np.std(means, ddof=1) / math.sqrt(len(means)), rel=1e-12)
+        assert v > 0.0 and e > 0.0
+    assert prof.n == est.n == len(nets) == 36
 
     k = 4096
     nodes = (np.arange(k) + 0.5) / k - 0.5  # fibre offsets in units of r^2/2
     cx, cy, _ = ball.center
-    for i in range(0, 150_000, 1500):
-        x, y, _ = pts[i]
+    pts, flat = nets.reshape(-1, 2), [d.ravel() for d in fractions]
+    for i in range(0, len(pts), 1500):
+        x, y = pts[i]
         middle = core.mul(ball.center, core.point(x - cx, y - cy, 0.0))
         line = middle + np.outer(nodes * 0.5 * ball.radius**2, [0.0, 0.0, 1.0])
         assert ball.contains(line).all()
-        for s, d in zip(mids, fractions):
+        for s, d in zip(mids, flat):
             gap = np.abs(dom.indicator(line) - dom.indicator(line + [0.0, 0.0, s * s]))
             assert abs(d[i] - gap.mean()) <= 2.0 / k
+
+
+def test_net_stderr_covers_the_seed_to_seed_spread():
+    # R net means give a z-score against a far finer estimate that follows
+    # a t distribution with R - 1 degrees of freedom; over 100 seeds at
+    # n = 4,096 (R = 32) each quantity may miss 3 combined sigma as often
+    # as the binomial tail allows at a false-failure rate of 5e-4 (1e-3
+    # for the two)
+    from scipy import stats
+
+    dom = domains.vertical_holder(1.0, 0.5)
+    ball = core.Ball(core.point(0.3, -0.2, 0.1), 1.0)
+    fine = SampleConfig(n=1 << 20, seed=1)
+    quantities = [
+        (lambda cfg: osc(dom, ball, cfg), osc(dom, ball, fine)),
+        (lambda cfg: vertical_perimeter(dom, ball, 0.5, cfg), vertical_perimeter(dom, ball, 0.5, fine)),
+    ]
+    seeds = range(100, 200)
+    for estimate, ref in quantities:
+        ests = [estimate(SampleConfig(n=4096, seed=seed)) for seed in seeds]
+        assert {e.n for e in ests} == {32}
+        misses = sum(abs(e.value - ref.value) > 3 * math.hypot(e.stderr, ref.stderr) for e in ests)
+        allowed = stats.binom.isf(5e-4, len(seeds), 2 * stats.t.sf(3.0, 31))
+        assert misses <= allowed, (misses, allowed, ref)
 
 
 @pytest.mark.parametrize("s_nodes", [0, -3])
