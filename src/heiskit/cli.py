@@ -371,7 +371,8 @@ def _exp_osc_scan(cfg: ExperimentConfig):
         if est.value > 0.5 * math.pi + 5 * est.stderr + 1e-12:
             ok = False
             failures.append(f"violated invariant: oscillation upper bound at r={r:g}")
-    summary = {"radii": list(_radii(cfg)), "failures": failures}
+    # the rows' n is the sample count; their stderr rests on est.n replicates
+    summary = {"radii": list(_radii(cfg)), "replicates": est.n, "failures": failures}
     return _OSC_COLUMNS, rows, summary, ok
 
 
@@ -454,6 +455,7 @@ def _exp_dini(cfg: ExperimentConfig):
     summary = {
         "dini_sum": prof.value,
         "dini_stderr": prof.stderr,
+        "replicates": prof.replicates,
         "slope_below_1": fit.slope_below,
         "slope_above_1": fit.slope_above,
         "r2_below": fit.r2_below,

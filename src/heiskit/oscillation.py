@@ -18,12 +18,13 @@ most once, at t = T, so the gap at shift s is 1 on the line exactly for t in
 the ball's vertical fibre through it, and no indicator is evaluated.  This
 conditions the t coordinate away: the pass draws only the (x, y) of the
 ball's nodes, the estimand is the same and the variance smaller.  It draws
-them as R >= 32 independent scrambled Sobol nets (see quadrature), and each
-estimate is the mean of the R net means with the stderr of their spread;
-where every fibre gives the same number (a slab and a ball centred on the
-t-axis) that stderr is 0, exact up to rounding.  Any other oracle takes the
-sampled path, which draws the full ball sample and evaluates the indicator
-at every point and every shift; its replicates are single points.
+them as R >= 32 independently shifted and folded Fibonacci lattices (see
+quadrature), and each estimate is the mean of the R lattice means with the
+stderr of their spread; where every fibre gives the same number (a slab and
+a ball centred on the t-axis) that stderr is 0, exact up to rounding.  Any
+other oracle takes the sampled path, which draws the full ball sample and
+evaluates the indicator at every point and every shift; its replicates are
+single points.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
 def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     """v(ball)(s) at every node s and, last, their average over the nodes,
     as arrays of correlated estimates from one pass over one ball sample;
-    a domain with a crossing draws only the sample's (x, y), as scrambled
-    nets.  Each chunk's leading axis holds its independent replicates, the
-    nets or, on the sampled path, single points: the moments are those of
-    one mean per replicate."""
+    a domain with a crossing draws only the sample's (x, y), as shifted
+    lattices.  Each chunk's leading axis holds its independent replicates,
+    the lattices or, on the sampled path, single points: the moments are
+    those of one mean per replicate."""
     sample = _ball_chunks if getattr(omega, "crossing", None) is None else _disc_chunks
 
     def moments(pts):
@@ -226,7 +227,10 @@ def lp_vertical_perimeter(
 
 @dataclass(frozen=True)
 class DiniProfile:
-    """Truncated logarithmic integral of the oscillation over ball radii."""
+    """Truncated logarithmic integral of the oscillation over ball radii.
+
+    replicates is the R behind each radius's osc stderr (see Estimate.n).
+    """
 
     value: float
     stderr: float
@@ -234,6 +238,7 @@ class DiniProfile:
     osc_values: np.ndarray
     osc_stderrs: np.ndarray
     dlog: float
+    replicates: int
 
     def log_profile(self) -> list[tuple[float, float]]:
         """(log r, log osc) pairs, dropping non-positive entries."""
@@ -255,4 +260,4 @@ def dini_integral(
     vals, errs = np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
     total = float(np.sum(vals) * grid.dlog)
     stderr = float(np.sqrt(np.sum(errs**2)) * grid.dlog)
-    return DiniProfile(total, stderr, radii, vals, errs, grid.dlog)
+    return DiniProfile(total, stderr, radii, vals, errs, grid.dlog, ests[0].n)

@@ -9,12 +9,13 @@ environment variable (default 1).  One chunk map owns that thread pool; it
 runs integrate_ball, the gap pass of oscillation and domains.surface_sample.
 The metric ball is the one volume sampler.  Where the gap pass reads only
 (x, y) it draws the ball's disc alone, as randomised quasi-Monte Carlo:
-R >= 32 independent scrambled Sobol nets of 2^m points each (Owen, Ann.
-Statist. 25, 1997), every chunk packing whole nets scrambled from (seed,
+R >= 32 rank-1 Fibonacci lattices of N points each, every one moved by its
+own random shift and folded by the baker's map (Cranley and Patterson 1976;
+Hickernell 2002), every chunk packing whole lattices shifted from (seed,
 chunk), so the bits stay independent of the worker count.  An estimate from
-nets is the mean of the R net means, and its stderr is their spread.  Every
-mean and stderr in the package comes from one accumulator: _moments,
-_merge_moments and _estimate_from_moments.
+lattices is the mean of the R lattice means, and its stderr is their
+spread.  Every mean and stderr in the package comes from one accumulator:
+_moments, _merge_moments and _estimate_from_moments.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class Estimate:
     """A numerical integral with its statistical error.
 
     n counts the independent replicates behind the estimate: sample points,
-    or on the fibre pass of oscillation the scrambled nets.  stderr is the
+    or on the fibre pass of oscillation the shifted lattices.  stderr is the
     sample standard deviation of the replicate means divided by sqrt(n),
     times the volume normalisation.  value and stderr may also be
     arrays of per-component estimates sharing one n, as in the profile
@@ -108,9 +109,9 @@ def _workers() -> int:
     return int(raw)
 
 
-def _mc_chunks(n: int) -> list[tuple[int, int]]:
-    """(chunk index, chunk size) pairs covering n samples."""
-    return [(i, min(CHUNK, n - i * CHUNK)) for i in range(-(-n // CHUNK))]
+def _mc_chunks(n: int, size: int = CHUNK) -> list[tuple[int, int]]:
+    """(chunk index, chunk size) pairs covering n items, size to a chunk."""
+    return [(i, min(size, n - i * size)) for i in range(-(-n // size))]
 
 
 def _disc(u: np.ndarray, v: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -135,43 +136,6 @@ def _cylinder_chunk(rng: np.random.Generator, m: int, radius: float) -> np.ndarr
     x, y = _disc(rng.random(m), rng.random(m), radius)
     tt = (rng.random(m) - 0.5) * (0.5 * radius**2)
     return np.stack((x, y, tt), axis=-1)
-
-
-def _direction_words() -> np.ndarray:
-    """Direction words of Sobol dimensions 1 and 2, binary digit k of each
-    in bit 31 - k: dimension 1 is van der Corput's (v_k = 2^-k), and
-    dimension 2 that of the primitive polynomial x + 1, v_k = v_{k-1} xor
-    v_{k-1} / 2."""
-    v2 = [1 << 31]
-    for _ in range(31):
-        v2.append(v2[-1] ^ v2[-1] >> 1)
-    return np.array([[1 << 31 - k for k in range(32)], v2], dtype=np.uint32)
-
-
-_SOBOL = _direction_words()
-_DIGITS = _SOBOL[0]  # the bit of each digit
-
-
-def _nets(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    """(count, 2^m, 2) points of the unit square: count independent scrambled nets.
-
-    Each net is the first 2^m Sobol points under a random linear matrix
-    scramble (a lower-triangular binary matrix with unit diagonal per
-    dimension) and a random digital shift, which keeps it a (0, m, 2)-net in
-    base 2 and makes each point uniform on the 2^-32 grid, centred in its
-    cell.  Scrambling is linear in the digits, so the scrambled net is built
-    by doubling from the scrambled direction words.  With m = 0 the nets are
-    single uniform points.
-    """
-    draws = rng.integers(0, 1 << 32, size=(count, 2, 33), dtype=np.uint32)
-    # column j of a scramble keeps digit j and draws the digits below it
-    cols = draws[..., :32] & (_DIGITS - np.uint32(1)) | _DIGITS
-    has = (_SOBOL[:, :m, None] & _DIGITS) != 0
-    words = np.bitwise_xor.reduce(np.where(has, cols[:, :, None, :], np.uint32(0)), axis=-1)
-    pts = draws[:, None, :, 32]  # the shifted point 0
-    for k in range(m):
-        pts = np.concatenate((pts, pts ^ words[:, None, :, k]), axis=1)
-    return (pts + 0.5) * 2.0**-32
 
 
 # (make_chunk, chunks): make_chunk(i, size) builds the nodes of chunk i
@@ -210,23 +174,33 @@ def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
 
 def _disc_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     """(make_chunk, chunks) of points uniform on the ball's disc, as
-    (nets, 2^m, 2) arrays of scrambled nets.
+    (lattices, N, 2) arrays of shifted, folded Fibonacci lattices.
 
-    m = floor(log2(n / 32)), capped so that a net fits in a chunk, makes
-    R = n >> m >= 32 nets (n when n < 32); the R * 2^m <= n points are
-    (x, y) of uniform points of the ball, since a left translation moves
-    (x, y) by the center's (x, y).  Chunk i packs CHUNK >> m whole nets and
-    draws their scrambles from (seed, i).
+    N = F_k is the largest Fibonacci number <= min(n // 32, CHUNK), which
+    makes R = n // N >= 32 lattices (n of one point each when n < 64).
+    Each is {(j / N, j F_(k-1) / N mod 1)} shifted mod 1 by its own uniform
+    pair and folded by the baker's map u -> 1 - |2u - 1|, which keeps every
+    point uniform (Hickernell 2002); mapped by _disc, the R * N <= n points
+    are (x, y) of uniform points of the ball, since a left translation
+    moves (x, y) by the center's (x, y).  Chunk i packs CHUNK // N whole
+    lattices and draws their shifts from (seed, i).
     """
     cx, cy = ball.center[0], ball.center[1]
-    m = min(max((cfg.n // 32).bit_length() - 1, 0), CHUNK.bit_length() - 1)
+    size, step = 1, 1  # F_k and F_(k-1)
+    while size + step <= min(cfg.n // 32, CHUNK):
+        size, step = size + step, size
+    j = np.arange(size)
+    lattice = np.stack((j, j * step % size))[:, None, :] / size
 
-    def make(i: int, size: int) -> np.ndarray:
-        net = _nets(np.random.default_rng([cfg.seed, i]), size >> m, m)
-        x, y = _disc(net[..., 0], net[..., 1], ball.radius)
+    def make(i: int, count: int) -> np.ndarray:
+        shifted = lattice + np.random.default_rng([cfg.seed, i]).random((2, count, 1))
+        # the fold of u mod 1 is twice the distance from u to the nearest
+        # integer, which skips the costly float modulo
+        shifted -= np.rint(shifted)
+        x, y = _disc(*2.0 * np.abs(shifted), ball.radius)
         return np.stack((cx + x, cy + y), axis=-1)
 
-    return make, _mc_chunks(cfg.n >> m << m)
+    return make, _mc_chunks(cfg.n // size, CHUNK // size)
 
 
 def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:

@@ -277,8 +277,8 @@ def test_osc_scan_flat_zero_column(tmp_path, capsys):
 
 
 def test_cli_determinism_and_parallel(tmp_path):
-    # 150,000 samples make 36 scrambled nets of 4,096 points, packed 16 to
-    # a chunk in three chunks, so the pool runs and a chunk-order bug would
+    # 150,000 samples make 35 lattices of 4,181 points, packed 15 to a
+    # chunk in three chunks, so the pool runs and a chunk-order bug would
     # show in the osc and profile columns
     args = [
         "osc-scan", "--domain", "holder:H=1,tau=0.5", "--radius", "1",
@@ -324,7 +324,7 @@ def test_riesz_test_identical_across_workers(tmp_path):
 
 
 def test_fibre_path_does_not_import_scipy(tmp_path):
-    # the nets are drawn with numpy alone: importing scipy.stats.qmc costs
+    # the fibre pass needs numpy alone: importing scipy.stats.qmc costs
     # 65-71 MB of peak RSS and 1-1.3 s (2-core Xeon VM), which would double
     # the peak RSS of an osc-scan and dini run
     argvs = [
@@ -414,6 +414,23 @@ def test_dini_summary_slopes(tmp_path):
     s = payload["summary"]
     assert 0.6 <= s["slope_below_1"] <= 1.4
     assert -1.4 <= s["slope_above_1"] <= -0.6
+
+
+@pytest.mark.parametrize("name, extra", [("osc-scan", ["--radii", "0.5,1"]), ("dini", ["--scales", "2^-1:1:1"])])
+def test_osc_and_dini_report_their_replicates(tmp_path, capsys, name, extra):
+    # 5,000 samples make 34 lattices of 144 points: the rows' n stays the
+    # sample count, and the summary carries the R behind their stderr
+    out = tmp_path / f"{name}.json"
+    assert run_main([
+        name, "--domain", "holder:H=1,tau=0.5", *extra, "--samples", "5000", "--seed", "3",
+        "--format", "json", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["replicates"] == 34
+    n = payload["columns"].index("n")
+    assert {row[n] for row in payload["rows"]} == {5000}
+    status = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert status["summary"]["replicates"] == 34
 
 
 def test_config_file_execution(tmp_path):

@@ -212,32 +212,44 @@ def test_perimeter_profile_moments_match_one_pass():
         assert v > 0.0
 
 
-def _disc_nets(ball, cfg):
-    """The fibre pass's (x, y) sample, as one (R, 2^m, 2) array of nets."""
+def _disc_lattices(ball, cfg):
+    """The fibre pass's (x, y) sample, as one (R, N, 2) array of lattices."""
     return np.concatenate(_map_chunks(*_disc_chunks(ball, cfg), lambda p: p))
 
 
-@pytest.mark.parametrize("n, m, reps", [(150_000, 12, 36), (5_000, 7, 39), (100, 1, 50), (40, 0, 40), (7, 0, 7)])
-def test_disc_nets_are_0_m_2_nets(n, m, reps):
-    # R = n >> m nets of 2^m points, m = floor(log2(n / 32)), no two alike
-    # (each chunk draws its own scrambles); mapped back to the unit square,
-    # every net holds exactly one point in each elementary box
-    # 2^-k x 2^-(m - k), for every k in 0..m
+@pytest.mark.parametrize(
+    "n, size, reps", [(150_000, 4181, 35), (5_000, 144, 34), (100, 3, 33), (40, 1, 40), (7, 1, 7)]
+)
+def test_disc_lattices_are_shifted_folded_fibonacci_lattices(n, size, reps):
+    # R = n // N lattices of N points, N the largest Fibonacci number up to
+    # n // 32; mapped back to the unit square, each is the fold
+    # u -> 1 - |2u - 1| of the base lattice {(j / N, j F_(k-1) / N mod 1)}
+    # shifted mod 1 by one of the two shifts whose fold is its first point,
+    # and no two share a shift (each chunk draws its own shifts)
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
-    nets = _disc_nets(ball, SampleConfig(n=n, seed=5))
-    assert nets.shape == (reps, 1 << m, 2)
-    assert len(np.unique(nets[:, 0], axis=0)) == reps
-    dx, dy = nets[..., 0] - ball.center[0], nets[..., 1] - ball.center[1]
-    u = (dx * dx + dy * dy) / ball.radius**2
-    v = np.arctan2(dy, dx) / (2.0 * math.pi) % 1.0
-    for k in range(m + 1):
-        box = np.floor(u * 2**k).astype(np.int64) << (m - k) | np.floor(v * 2 ** (m - k)).astype(np.int64)
-        np.testing.assert_array_equal(np.sort(box, axis=1), np.broadcast_to(np.arange(1 << m), box.shape))
+    lattices = _disc_lattices(ball, SampleConfig(n=n, seed=5))
+    assert lattices.shape == (reps, size, 2)
+    assert len(np.unique(lattices[:, 0], axis=0)) == reps
+    dx, dy = lattices[..., 0] - ball.center[0], lattices[..., 1] - ball.center[1]
+    square = ((dx * dx + dy * dy) / ball.radius**2, np.arctan2(dy, dx) / (2.0 * math.pi) % 1.0)
+    fib = [1, 1]
+    while fib[-1] < size:
+        fib.append(fib[-1] + fib[-2])
+    assert fib[-1] == size
+    j = np.arange(size)
+    for got, base in zip(square, (j / size, j * fib[-2] % size / size)):
+        first = got[:, :1]
+        # the angle fraction is periodic, so compare it mod 1
+        misses = [
+            np.abs((1.0 - np.abs(2.0 * ((base + shift) % 1.0) - 1.0) - got + 0.5) % 1.0 - 0.5).max(axis=1)
+            for shift in (first / 2, 1.0 - first / 2)
+        ]
+        assert np.minimum(*misses).max() <= 1e-12
 
 
 def test_fibre_profile_moments_match_one_pass():
     # each profile entry and osc are the mean and standard error of the R
-    # per-net means of the fibre fractions, and at a few points each
+    # per-lattice means of the fibre fractions, and at a few points each
     # fraction is the mean of the indicator gap over midpoint nodes of the
     # point's fibre in the ball, which errs by at most one node at each of
     # its two jumps
@@ -245,21 +257,21 @@ def test_fibre_profile_moments_match_one_pass():
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=5)
     mids, prof, est = perimeter_profile(dom, ball, cfg, s_nodes=4)
-    nets = _disc_nets(ball, cfg)
+    lattices = _disc_lattices(ball, cfg)
     scale = ball.volume / ball.radius**4
-    fractions = list(_gaps(dom, ball, nets, mids))
-    per_net = [d.mean(axis=1) for d in fractions]
-    per_net.append(np.mean(fractions, axis=0).mean(axis=1))
-    for means, v, e in zip(per_net, [*prof.value, est.value], [*prof.stderr, est.stderr]):
+    fractions = list(_gaps(dom, ball, lattices, mids))
+    per_lattice = [d.mean(axis=1) for d in fractions]
+    per_lattice.append(np.mean(fractions, axis=0).mean(axis=1))
+    for means, v, e in zip(per_lattice, [*prof.value, est.value], [*prof.stderr, est.stderr]):
         assert v == pytest.approx(scale * means.mean(), rel=1e-12)
         assert e == pytest.approx(scale * np.std(means, ddof=1) / math.sqrt(len(means)), rel=1e-12)
         assert v > 0.0 and e > 0.0
-    assert prof.n == est.n == len(nets) == 36
+    assert prof.n == est.n == len(lattices) == 35
 
     k = 4096
     nodes = (np.arange(k) + 0.5) / k - 0.5  # fibre offsets in units of r^2/2
     cx, cy, _ = ball.center
-    pts, flat = nets.reshape(-1, 2), [d.ravel() for d in fractions]
+    pts, flat = lattices.reshape(-1, 2), [d.ravel() for d in fractions]
     for i in range(0, len(pts), 1500):
         x, y = pts[i]
         middle = core.mul(ball.center, core.point(x - cx, y - cy, 0.0))
@@ -270,27 +282,30 @@ def test_fibre_profile_moments_match_one_pass():
             assert abs(d[i] - gap.mean()) <= 2.0 / k
 
 
-def test_net_stderr_covers_the_seed_to_seed_spread():
-    # R net means give a z-score against a far finer estimate that follows
-    # a t distribution with R - 1 degrees of freedom; over 100 seeds at
-    # n = 4,096 (R = 32) each quantity may miss 3 combined sigma as often
-    # as the binomial tail allows at a false-failure rate of 5e-4 (1e-3
-    # for the two)
+def test_lattice_stderr_covers_the_seed_to_seed_spread():
+    # R lattice means give a z-score against a far finer estimate that
+    # follows a t distribution with R - 1 degrees of freedom; over 100 seeds
+    # at n = 4,096 (R = 46) each quantity may miss 3 combined sigma as often
+    # as the binomial tail allows at a false-failure rate of 5e-4 (1.5e-3
+    # for the three).  The off-axis slab ball has a smooth fibre fraction,
+    # where the lattices gain most over plain Monte Carlo.
     from scipy import stats
 
     dom = domains.vertical_holder(1.0, 0.5)
     ball = core.Ball(core.point(0.3, -0.2, 0.1), 1.0)
+    slab_ball = core.Ball(core.point(0.3, -0.2, 0.05), 1.0)
     fine = SampleConfig(n=1 << 20, seed=1)
     quantities = [
         (lambda cfg: osc(dom, ball, cfg), osc(dom, ball, fine)),
         (lambda cfg: vertical_perimeter(dom, ball, 0.5, cfg), vertical_perimeter(dom, ball, 0.5, fine)),
+        (lambda cfg: osc(SLAB, slab_ball, cfg), osc(SLAB, slab_ball, fine)),
     ]
     seeds = range(100, 200)
     for estimate, ref in quantities:
         ests = [estimate(SampleConfig(n=4096, seed=seed)) for seed in seeds]
-        assert {e.n for e in ests} == {32}
+        assert {e.n for e in ests} == {46}
         misses = sum(abs(e.value - ref.value) > 3 * math.hypot(e.stderr, ref.stderr) for e in ests)
-        allowed = stats.binom.isf(5e-4, len(seeds), 2 * stats.t.sf(3.0, 31))
+        allowed = stats.binom.isf(5e-4, len(seeds), 2 * stats.t.sf(3.0, 45))
         assert misses <= allowed, (misses, allowed, ref)
 
 
