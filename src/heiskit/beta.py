@@ -296,11 +296,11 @@ class OscBetaComparison:
 def osc_beta_compare(g: IntrinsicGraph, ball: Ball, cfg: SampleConfig) -> OscBetaComparison:
     """Oscillation of the ball against the L^1 beta number of the enlarged ball.
 
-    The ball is enlarged by the comparison constant 24, the oscillation
-    uses 16 shift nodes, and both sides draw cfg.n samples.  The ratio is
+    The ball is enlarged by the comparison constant 24, the oscillation is
+    osc(g, ball, cfg), and both sides draw cfg.n samples.  The ratio is
     defined as 0 when both quantities vanish (flat configurations).
     """
-    osc_est = osc(g, ball, cfg, s_nodes=16)
+    osc_est = osc(g, ball, cfg)
     big = Ball(ball.center, _ENLARGEMENT * ball.radius)
     sample = surface_sample(g, region_for_ball(big), cfg.n, seed=cfg.child(7).seed)
     b1 = beta_p(sample, big, 1.0)

@@ -249,7 +249,8 @@ def fit_decay(profile) -> DecayFit:
 
 
 # ---------------------------------------------------------------------------
-# Individual experiments: each returns (columns, rows, summary, ok)
+# Individual experiments: each returns (columns, rows, summary), and the
+# run passes when summary["failures"] is empty
 
 
 def _radii(cfg: ExperimentConfig) -> tuple[float, ...]:
@@ -340,16 +341,14 @@ def _exp_invariants(cfg: ExperimentConfig):
 
     columns = ["check", "instances", "max_err", "tol", "passed"]
     rows = []
-    ok = True
     failures = []
     for name, count, err, tol in checks:
         passed = bool(err <= tol)
-        ok &= passed
         if not passed:
             failures.append(f"violated invariant: {name} (max err {err:.3g} > tol {tol:g})")
         rows.append((name, count, err, tol, passed))
     summary = {"checks": len(checks), "failures": failures}
-    return columns, rows, summary, ok
+    return columns, rows, summary
 
 
 _OSC_COLUMNS = ["domain_label", "cx", "cy", "ct", "r", "s", "estimate", "stderr", "n", "seed"]
@@ -360,20 +359,18 @@ def _exp_osc_scan(cfg: ExperimentConfig):
     scfg = _sample_cfg(cfg)
     cx, cy, ct = cfg.center
     rows = []
-    ok = True
     failures = []
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
         child = scfg.child(k)
-        mids, prof, est = oscillation.perimeter_profile(dom, ball, child, 16)
+        mids, prof, est = oscillation.perimeter_profile(dom, ball, child)
         for s, v, e in zip([*mids, None], [*prof.value, est.value], [*prof.stderr, est.stderr]):
             rows.append((dom.label, cx, cy, ct, r, s, float(v), float(e), child.n, child.seed))
         if est.value > 0.5 * math.pi + 5 * est.stderr + 1e-12:
-            ok = False
             failures.append(f"violated invariant: oscillation upper bound at r={r:g}")
     # the rows' n is the sample count; their stderr rests on est.n replicates
     summary = {"radii": list(_radii(cfg)), "replicates": est.n, "failures": failures}
-    return _OSC_COLUMNS, rows, summary, ok
+    return _OSC_COLUMNS, rows, summary
 
 
 _BETA_COLUMNS = ["domain_label", "cx", "cy", "ct", "r", "p_exp", "beta", "theta", "offset", "n", "seed"]
@@ -384,7 +381,6 @@ def _exp_beta_scan(cfg: ExperimentConfig):
     scfg = _sample_cfg(cfg)
     cx, cy, ct = cfg.center
     rows = []
-    ok = True
     failures = []
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
@@ -392,7 +388,6 @@ def _exp_beta_scan(cfg: ExperimentConfig):
         sample = domains.surface_sample(g, domains.region_for_ball(ball), cfg.samples, seed)
         inside = int(np.count_nonzero(sample.in_ball(ball)))
         if inside < 3:
-            ok = False
             failures.append(f"violated invariant: {inside} sample points in the ball at r={r:g}, need 3")
             continue
         bp = beta.beta_p(sample, ball, cfg.p_exp)
@@ -402,10 +397,9 @@ def _exp_beta_scan(cfg: ExperimentConfig):
         rows.append((g.label, cx, cy, ct, r, math.inf, binf.value, binf.plane.theta,
                      binf.plane.offset, cfg.samples, seed))
         if not (bp.value >= 0 and math.isfinite(bp.value) and math.isfinite(binf.value)):
-            ok = False
             failures.append(f"violated invariant: beta number finite and nonnegative at r={r:g}")
     summary = {"radii": list(_radii(cfg)), "failures": failures}
-    return _BETA_COLUMNS, rows, summary, ok
+    return _BETA_COLUMNS, rows, summary
 
 
 def _exp_osc_vs_beta(cfg: ExperimentConfig):
@@ -416,14 +410,12 @@ def _exp_osc_vs_beta(cfg: ExperimentConfig):
                "theta", "offset", "ratio", "n", "seed"]
     rows = []
     ratios = []
-    ok = True
     failures = []
     for k, r in enumerate(_radii(cfg)):
         ball = core.Ball(core.point(*cfg.center), r)
         comp = beta.osc_beta_compare(g, ball, scfg.child(k))
         inside = comp.beta1.n_in_ball
         if inside < 3:
-            ok = False
             failures.append(f"violated invariant: {inside} sample points in the ball of the beta fit "
                             f"at r={r:g}, need 3")
             continue
@@ -433,7 +425,7 @@ def _exp_osc_vs_beta(cfg: ExperimentConfig):
         if math.isfinite(comp.ratio):
             ratios.append(comp.ratio)
     summary = {"max_ratio": max(ratios) if ratios else 0.0, "failures": failures}
-    return columns, rows, summary, ok
+    return columns, rows, summary
 
 
 def _exp_dini(cfg: ExperimentConfig):
@@ -443,9 +435,9 @@ def _exp_dini(cfg: ExperimentConfig):
     smin, smax, per = cfg.scales
     grid = oscillation.ScaleGrid(smin, smax, per)
     prof = oscillation.dini_integral(dom, core.point(*cfg.center), grid, scfg)
-    rows = []
-    for r, v, e in zip(prof.radii, prof.osc_values, prof.osc_stderrs):
-        rows.append((dom.label, cx, cy, ct, float(r), None, float(v), float(e), cfg.samples, cfg.seed))
+    # row k is osc on scfg.child(k) (see dini_integral), so it reports that seed
+    rows = [(dom.label, cx, cy, ct, float(r), None, float(v), float(e), cfg.samples, scfg.child(k).seed)
+            for k, (r, v, e) in enumerate(zip(prof.radii, prof.osc_values, prof.osc_stderrs))]
     fit = fit_decay(prof.log_profile())
     # crude geometric tail estimates from the fitted slopes; reported, not summed
     tail_below = (prof.osc_values[0] / fit.slope_below
@@ -464,7 +456,7 @@ def _exp_dini(cfg: ExperimentConfig):
         "tail_estimate_above": tail_above,
         "failures": [],
     }
-    return _OSC_COLUMNS, rows, summary, True
+    return _OSC_COLUMNS, rows, summary
 
 
 _RIESZ_COLUMNS = ["graph", "ball_center", "ball_radius", "eps", "point",
@@ -495,7 +487,7 @@ def _exp_riesz_test(cfg: ExperimentConfig):
     adj = [abs(row.adj) for row in scan.rows] or [math.nan]
     summary = {"sup_op": max(op), "sup_adj": max(adj), "median_op": float(np.median(op)),
                "median_adj": float(np.median(adj)), "failures": failures}
-    return _RIESZ_COLUMNS, rows, summary, not failures
+    return _RIESZ_COLUMNS, rows, summary
 
 
 def _exp_carleson(cfg: ExperimentConfig):
@@ -507,7 +499,7 @@ def _exp_carleson(cfg: ExperimentConfig):
         scan = beta.carleson_scan(g, core.point(*cfg.center), R, cfg.p_exp, scfg.child(k))
         rows.append((g.label, R, cfg.p_exp, "beta", scan.ratio, cfg.samples, cfg.seed))
     summary = {"ratios": [r[4] for r in rows], "failures": []}
-    return columns, rows, summary, True
+    return columns, rows, summary
 
 
 def _exp_perimeter_beta(cfg: ExperimentConfig):
@@ -524,7 +516,7 @@ def _exp_perimeter_beta(cfg: ExperimentConfig):
         rows.append((g.label, R, cfg.p_exp, res.lhs.value, res.lhs.stderr, res.rhs,
                      res.bulk_term, res.beta_term, res.ratio, cfg.samples, cfg.seed))
     summary = {"ratios": [r[8] for r in rows], "failures": []}
-    return columns, rows, summary, True
+    return columns, rows, summary
 
 
 _RUNNERS = {
@@ -595,9 +587,9 @@ def render_json(cfg: ExperimentConfig, columns, rows, summary) -> str:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes the artifact and prints a summary line."""
-    columns, rows, summary, ok = _RUNNERS[cfg.experiment](cfg)
-    summary = dict(summary)
-    summary["passed"] = bool(ok)
+    columns, rows, summary = _RUNNERS[cfg.experiment](cfg)
+    passed = not summary["failures"]
+    summary = dict(summary, passed=passed)
     if cfg.fmt == "csv":
         text = render_csv(cfg, columns, rows)
     else:
@@ -607,12 +599,12 @@ def run(cfg: ExperimentConfig) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for msg in summary.get("failures", []):
+    for msg in summary["failures"]:
         print(msg, file=sys.stderr)
     status = {"experiment": cfg.experiment, "out": cfg.out or "-",
               "config": cfg.config_hash, "summary": summary}
     print(json.dumps(status, sort_keys=True, default=str), file=sys.stderr)
-    return 0 if ok else 1
+    return 0 if passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

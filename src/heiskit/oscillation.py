@@ -5,9 +5,11 @@ the Lebesgue measure, within U, of the points whose membership in Omega
 changes under the vertical shift p -> p * (0, 0, s^2).  The oscillation
 coefficient of a ball averages the perimeter over shift scales s in (0, r]
 and normalises by r^4, which makes it invariant under left translations and
-dilations of the whole configuration.  One pass over a ball sample yields
-the gap moments at every shift node and at their per-point average;
-perimeter_profile is the one entry point to it on the midpoint nodes and
+dilations of the whole configuration.  The average is one rule throughout:
+the midpoint rule on _S_NODES = 16 nodes in s, so osc, perimeter_profile,
+dini_integral and every experiment give one number per (ball, cfg).  One
+pass over a ball sample yields the gap moments at every node and at their
+per-point average; perimeter_profile is the one entry point to it and
 returns the profile with osc, which osc and the osc-scan experiment read.
 vertical_perimeter reads the same pass at a single node.
 
@@ -21,7 +23,9 @@ ball's nodes, the estimand is the same and the variance smaller.  It draws
 them as R >= 32 independently shifted and folded Fibonacci lattices (see
 quadrature), and each estimate is the mean of the R lattice means with the
 stderr of their spread; where every fibre gives the same number (a slab and
-a ball centred on the t-axis) that stderr is 0, exact up to rounding.  Any
+a ball centred on the t-axis) that stderr is 0.  It means the 16-node sum
+is exact up to rounding, not the s-average: on the slab that sum is 5.1e-4
+below the integral pi/6 (the exact s-average is ROADMAP direction 1).  Any
 other oracle takes the sampled path, which draws the full ball sample and
 evaluates the indicator at every point and every shift; its replicates are
 single points.
@@ -49,6 +53,9 @@ __all__ = [
     "DiniProfile",
     "dini_integral",
 ]
+
+# midpoint nodes in s of the oscillation coefficient's average
+_S_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -141,37 +148,33 @@ def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Esti
     return Estimate(float(est.value[0]), float(est.stderr[0]), est.n)
 
 
-def perimeter_profile(
-    omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32
-) -> tuple[np.ndarray, Estimate, Estimate]:
-    """Per-scale perimeter v(ball)(s_j) / r^4 at midpoint nodes s_j in (0, r],
-    and the oscillation coefficient, their average over the nodes.
+def perimeter_profile(omega, ball: Ball, cfg: SampleConfig) -> tuple[np.ndarray, Estimate, Estimate]:
+    """Per-scale perimeter v(ball)(s_j) / r^4 at the _S_NODES midpoint nodes
+    s_j in (0, r], and the oscillation coefficient, their average.
 
     One shared point sample serves every node and the average, so the
     entries are correlated but each carries its own Monte-Carlo stderr; the
     average's is that of the node average over the sample's replicates.
     Returns (the nodes, the profile with array value and stderr, osc).
     """
-    if s_nodes < 1:
-        raise ValueError("need at least 1 scale node")
     r = ball.radius
-    mids = (np.arange(s_nodes) + 0.5) * (r / s_nodes)
+    mids = (np.arange(_S_NODES) + 0.5) * (r / _S_NODES)
     est = _perimeters(omega, ball, mids, cfg)
     value, stderr = est.value / r**4, est.stderr / r**4
     return mids, Estimate(value[:-1], stderr[:-1], est.n), Estimate(float(value[-1]), float(stderr[-1]), est.n)
 
 
-def osc(omega, ball: Ball, cfg: SampleConfig, s_nodes: int = 32) -> Estimate:
+def osc(omega, ball: Ball, cfg: SampleConfig) -> Estimate:
     """Oscillation coefficient: average over s in (0, r] of v(ball)(s)/r^4.
 
-    Midpoint nodes in s (the perimeter is bounded and continuous in s for
-    indicator oracles); the stderr is that of the node average.
-    The estimate is bounded by pi/2 by construction, since the integrand
-    never exceeds the unit indicator difference.
+    The average is the _S_NODES-node midpoint rule in s of perimeter_profile
+    (the perimeter is bounded and continuous in s for indicator oracles);
+    the stderr is that of the node average and leaves out the rule's bias,
+    so a stderr of 0 means the node sum is exact up to rounding.  The
+    estimate is bounded by pi/2 by construction, since the integrand never
+    exceeds the unit indicator difference.
     """
-    if s_nodes < 8:
-        raise ValueError("need at least 8 scale nodes")
-    return perimeter_profile(omega, ball, cfg, s_nodes)[2]
+    return perimeter_profile(omega, ball, cfg)[2]
 
 
 @dataclass(frozen=True)
@@ -190,7 +193,6 @@ class LpPerimeter:
     tail_bound: float
     scales: np.ndarray
     v_values: np.ndarray
-    v_stderrs: np.ndarray
 
 
 def lp_vertical_perimeter(
@@ -221,7 +223,6 @@ def lp_vertical_perimeter(
         tail_bound=tail,
         scales=scales,
         v_values=vals,
-        v_stderrs=errs,
     )
 
 
@@ -245,10 +246,9 @@ class DiniProfile:
         return [(math.log(r), math.log(v)) for r, v in zip(self.radii, self.osc_values) if v > 0.0]
 
 
-def dini_integral(
-    omega, p0, grid: ScaleGrid, cfg: SampleConfig, s_nodes: int = 16
-) -> DiniProfile:
-    """Geometric-grid sum of osc(B(p0, r_k)) * dlog r, with the profile kept.
+def dini_integral(omega, p0, grid: ScaleGrid, cfg: SampleConfig) -> DiniProfile:
+    """Geometric-grid sum of osc(B(p0, r_k)) * dlog r, with the profile kept;
+    osc at radius r_k reads the sub-stream cfg.child(k).
 
     The profile is what decay-slope fits consume; the sum itself is the
     truncated version of the logarithmic Dini integral and is monotone
@@ -256,7 +256,7 @@ def dini_integral(
     """
     p0 = as_points(p0)
     radii = grid.scales()
-    ests = [osc(omega, Ball(p0, r), cfg.child(k), s_nodes=s_nodes) for k, r in enumerate(radii)]
+    ests = [osc(omega, Ball(p0, r), cfg.child(k)) for k, r in enumerate(radii)]
     vals, errs = np.array([e.value for e in ests]), np.array([e.stderr for e in ests])
     total = float(np.sum(vals) * grid.dlog)
     stderr = float(np.sqrt(np.sum(errs**2)) * grid.dlog)

@@ -106,7 +106,7 @@ def test_criterion_3_closed_form_oscillation_oracles():
 
     flat = oscillation.osc(domains.flat(0.0, 0.0), core.Ball(core.point(0.2, -0.1, 0.4), 0.7), cfg)
     slab = domains.slab(0.0)
-    o = oscillation.osc(slab, ball, cfg, s_nodes=32)
+    o = oscillation.osc(slab, ball, cfg)
     v = oscillation.vertical_perimeter(slab, ball, 0.25, cfg.child(1))
     elapsed = time.monotonic() - t0
 
@@ -140,12 +140,12 @@ def test_criterion_4_oscillation_invariance():
         lam = float(np.exp(rng.uniform(-0.7, 0.7)))
         q = rng.uniform(-1, 1, 3)
         a = oscillation.osc(
-            dom, core.Ball(core.point(0, 0, 0), 1.0), SampleConfig(n=60_000, seed=2000 + i), s_nodes=12
+            dom, core.Ball(core.point(0, 0, 0), 1.0), SampleConfig(n=60_000, seed=2000 + i)
         )
         moved = domains.transform(dom, q, lam)
         center = core.dilate(lam, core.mul(q, core.point(0, 0, 0)))
         b = oscillation.osc(
-            moved, core.Ball(center, lam), SampleConfig(n=60_000, seed=3000 + i), s_nodes=12
+            moved, core.Ball(center, lam), SampleConfig(n=60_000, seed=3000 + i)
         )
         comb = math.hypot(a.stderr, b.stderr)
         cases += 1
@@ -170,7 +170,6 @@ def test_criterion_5_hoelder_decay_slopes():
                     dom,
                     core.Ball(core.point(0, 0, 0), r),
                     SampleConfig(n=100_000, seed=4000 + tag * 100 + j),
-                    s_nodes=12,
                 )
                 if est.value > 0:
                     pts.append((math.log(r), math.log(est.value)))
@@ -208,7 +207,7 @@ def test_criterion_6_osc_vs_beta():
     for gi, g in enumerate(graphs):
         for k, r in enumerate((0.5, 1.0, 2.0)):
             cfg = SampleConfig(n=200_000, seed=5000 + 10 * gi + k)
-            _, prof, _ = oscillation.perimeter_profile(g, core.Ball(p0, r), cfg, s_nodes=16)
+            _, prof, _ = oscillation.perimeter_profile(g, core.Ball(p0, r), cfg)
             i = int(np.argmax(prof.value))
             vmax, emax = float(prof.value[i]), float(prof.stderr[i])
             big = core.Ball(p0, 24.0 * r)

@@ -10,7 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from heiskit import beta, cli, core, domains, riesz
+from heiskit import beta, cli, core, domains, oscillation, riesz
+from heiskit.quadrature import SampleConfig
 
 
 def test_parse_list_and_ranges():
@@ -414,6 +415,24 @@ def test_dini_summary_slopes(tmp_path):
     s = payload["summary"]
     assert 0.6 <= s["slope_below_1"] <= 1.4
     assert -1.4 <= s["slope_above_1"] <= -0.6
+
+
+def test_dini_rows_reproduce_from_their_seed(tmp_path):
+    # row k is drawn on the run's child(k), and reports that seed
+    out = tmp_path / "dini.csv"
+    center = (0.1, -0.2, 0.05)
+    assert run_main([
+        "dini", "--domain", "holder:H=1,tau=0.5", "--center", "0.1,-0.2,0.05", "--scales", "2^-1:2:1",
+        "--samples", "5000", "--seed", "5", "--out", str(out),
+    ]) == 0
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    assert len(rows) == 3
+    assert [int(row["seed"]) for row in rows] == [SampleConfig(5000, 5).child(k).seed for k in range(3)]
+    dom = domains.vertical_holder(1.0, 0.5)
+    for row in rows:
+        est = oscillation.osc(dom, core.Ball(core.point(*center), float(row["r"])),
+                              SampleConfig(int(row["n"]), int(row["seed"])))
+        assert (repr(est.value), repr(est.stderr)) == (row["estimate"], row["stderr"])
 
 
 @pytest.mark.parametrize("name, extra", [("osc-scan", ["--radii", "0.5,1"]), ("dini", ["--scales", "2^-1:1:1"])])

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from heiskit import core, domains, riesz
+from heiskit import beta, core, domains, riesz
 from heiskit.oscillation import (
     ScaleGrid,
     _gaps,
@@ -76,8 +76,8 @@ def _agree(a, b):
 @pytest.mark.parametrize("dom", FAMILIES, ids=lambda d: d.label)
 def test_fibre_path_matches_sampled_path(dom):
     ball = core.Ball(core.point(0.3, -0.2, 0.1), 0.8)
-    a = osc(dom, ball, SampleConfig(n=40_000, seed=61), s_nodes=8)
-    b = osc(sampled(dom), ball, SampleConfig(n=40_000, seed=62), s_nodes=8)
+    a = osc(dom, ball, SampleConfig(n=40_000, seed=61))
+    b = osc(sampled(dom), ball, SampleConfig(n=40_000, seed=62))
     assert _agree(a, b), (a, b)
     a = vertical_perimeter(dom, ball, 0.5, SampleConfig(n=40_000, seed=63))
     b = vertical_perimeter(sampled(dom), ball, 0.5, SampleConfig(n=40_000, seed=64))
@@ -93,8 +93,8 @@ def test_fibre_path_matches_sampled_path_on_moved_domains():
         q = rng.uniform(-1, 1, 3)
         moved = domains.transform(doms[i % 3], q, lam)
         ball = core.Ball(core.dilate(lam, q), lam)
-        a = osc(moved, ball, SampleConfig(n=40_000, seed=5000 + i), s_nodes=12)
-        b = osc(sampled(moved), ball, SampleConfig(n=40_000, seed=6000 + i), s_nodes=12)
+        a = osc(moved, ball, SampleConfig(n=40_000, seed=5000 + i))
+        b = osc(sampled(moved), ball, SampleConfig(n=40_000, seed=6000 + i))
         assert _agree(a, b), (i, a, b)
         a = vertical_perimeter(moved, ball, 0.5 * lam, SampleConfig(n=40_000, seed=7000 + i))
         b = vertical_perimeter(sampled(moved), ball, 0.5 * lam, SampleConfig(n=40_000, seed=8000 + i))
@@ -126,10 +126,8 @@ def test_vertical_perimeter_validation():
 
 def test_osc_values():
     assert osc(FLAT, BALL, CFG).value == 0.0
-    est = osc(SLAB, BALL, CFG, s_nodes=32)
+    est = osc(SLAB, BALL, CFG)
     assert abs(est.value - math.pi / 6) <= max(3 * est.stderr, 1e-2)
-    with pytest.raises(ValueError):
-        osc(SLAB, BALL, CFG, s_nodes=4)
 
 
 def test_osc_uniform_bound():
@@ -141,11 +139,11 @@ def test_osc_uniform_bound():
 
 def test_osc_complement_symmetry():
     dom = domains.vertical_holder(1.0, 0.5)
-    a = osc(dom, BALL, SampleConfig(n=100_000, seed=8), s_nodes=16)
-    b = osc(domains.complement(dom), BALL, SampleConfig(n=100_000, seed=9), s_nodes=16)
+    a = osc(dom, BALL, SampleConfig(n=100_000, seed=8))
+    b = osc(domains.complement(dom), BALL, SampleConfig(n=100_000, seed=9))
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
     # pointwise the integrands coincide, so equal seeds give equal bits
-    c = osc(domains.complement(dom), BALL, SampleConfig(n=100_000, seed=8), s_nodes=16)
+    c = osc(domains.complement(dom), BALL, SampleConfig(n=100_000, seed=8))
     assert a == c
 
 
@@ -153,10 +151,10 @@ def test_osc_invariance_under_dilation_and_translation():
     dom = SLAB
     q = core.point(0.4, -0.3, 0.2)
     lam = 1.7
-    a = osc(dom, BALL, SampleConfig(n=150_000, seed=10), s_nodes=16)
+    a = osc(dom, BALL, SampleConfig(n=150_000, seed=10))
     moved = domains.transform(dom, q, lam)
     center = core.dilate(lam, core.mul(q, BALL.center))
-    b = osc(moved, core.Ball(center, lam * BALL.radius), SampleConfig(n=150_000, seed=11), s_nodes=16)
+    b = osc(moved, core.Ball(center, lam * BALL.radius), SampleConfig(n=150_000, seed=11))
     assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
 
 
@@ -164,13 +162,13 @@ def test_osc_approximate_monotonicity():
     # B(p, r) inside B(p, 2r): the scale factor 2 costs at most 2^5 = 32
     dom = domains.vertical_holder(1.0, 1.0)
     for seed, r in ((1, 0.5), (2, 1.0)):
-        small = osc(dom, core.Ball(core.point(0, 0, 0), r), SampleConfig(n=60_000, seed=seed), s_nodes=16)
-        big = osc(dom, core.Ball(core.point(0, 0, 0), 2 * r), SampleConfig(n=60_000, seed=seed + 50), s_nodes=16)
+        small = osc(dom, core.Ball(core.point(0, 0, 0), r), SampleConfig(n=60_000, seed=seed))
+        big = osc(dom, core.Ball(core.point(0, 0, 0), 2 * r), SampleConfig(n=60_000, seed=seed + 50))
         assert small.value <= 32.0 * big.value + 6 * math.hypot(small.stderr, big.stderr)
 
 
 def test_perimeter_profile_matches_single_scale():
-    mids, prof, _ = perimeter_profile(SLAB, BALL, CFG, s_nodes=8)
+    mids, prof, _ = perimeter_profile(SLAB, BALL, CFG)
     vals, errs = prof.value, prof.stderr
     k = 3
     single = vertical_perimeter(SLAB, BALL, mids[k], SampleConfig(n=100_000, seed=77))
@@ -183,9 +181,9 @@ def test_one_pass_serves_profile_osc_and_single_scale():
     dom = domains.vertical_holder(1.0, 0.5)
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=6)
-    mids, prof, prof_osc = perimeter_profile(dom, ball, cfg, s_nodes=16)
+    mids, prof, prof_osc = perimeter_profile(dom, ball, cfg)
     vals, errs = prof.value, prof.stderr
-    est = osc(dom, ball, cfg, s_nodes=16)
+    est = osc(dom, ball, cfg)
     assert est == prof_osc
     assert est.value == pytest.approx(vals.mean(), rel=1e-12)
     assert 0.0 < est.stderr <= errs.max()
@@ -195,12 +193,36 @@ def test_one_pass_serves_profile_osc_and_single_scale():
         assert single.stderr == pytest.approx(ball.radius**4 * errs[j], rel=1e-12)
 
 
+def test_one_coefficient_per_ball_and_config():
+    # osc, the profile's osc, a dini_integral entry and osc_beta_compare
+    # all take the same s-average, so on one (ball, cfg) they agree bit for
+    # bit; dini_integral reads radius r_k on cfg.child(k)
+    dom = domains.vertical_holder(1.0, 0.5)
+    p0 = core.point(0.2, -0.1, 0.05)
+    ball = core.Ball(p0, 1.0)
+    cfg = SampleConfig(n=20_000, seed=7)
+    est = osc(dom, ball, cfg)
+    assert est.stderr > 0.0
+    assert perimeter_profile(dom, ball, cfg)[2] == est
+    assert beta.osc_beta_compare(dom, ball, cfg).osc == est
+    prof = dini_integral(dom, p0, ScaleGrid(0.5, 1.0, 1), cfg)
+    entry = osc(dom, ball, cfg.child(1))
+    assert (prof.osc_values[1], prof.osc_stderrs[1]) == (entry.value, entry.stderr)
+    # every fibre of the slab at a ball centred on the t-axis gives the same
+    # number, the midpoint node sum (pi / N) sum_j min(u_j^2, 1/4) with
+    # u_j = (j + 1/2) / N at N = 16, which lies 5.1e-4 below pi / 6
+    for r in (0.5, 1.0, 3.0):
+        slab = osc(SLAB, core.Ball(core.point(0, 0, 0), r), CFG)
+        assert slab.value == pytest.approx(0.5230874486690036, rel=0.0, abs=1e-12)
+        assert slab.stderr == 0.0
+
+
 def test_perimeter_profile_moments_match_one_pass():
     # three uneven chunks merged in order, against np.mean / np.std over the
     # concatenated stream of the same nodes
     dom = sampled(domains.vertical_holder(1.0, 0.5))
     cfg = SampleConfig(n=150_000, seed=5)
-    mids, prof, _ = perimeter_profile(dom, BALL, cfg, s_nodes=4)
+    mids, prof, _ = perimeter_profile(dom, BALL, cfg)
     vals, errs = prof.value, prof.stderr
     pts = np.concatenate(_map_chunks(*_ball_chunks(BALL, cfg), lambda p: p))
     base = dom.indicator(pts)
@@ -256,7 +278,7 @@ def test_fibre_profile_moments_match_one_pass():
     dom = domains.vertical_holder(1.0, 0.5)
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=5)
-    mids, prof, est = perimeter_profile(dom, ball, cfg, s_nodes=4)
+    mids, prof, est = perimeter_profile(dom, ball, cfg)
     lattices = _disc_lattices(ball, cfg)
     scale = ball.volume / ball.radius**4
     fractions = list(_gaps(dom, ball, lattices, mids))
@@ -307,12 +329,6 @@ def test_lattice_stderr_covers_the_seed_to_seed_spread():
         misses = sum(abs(e.value - ref.value) > 3 * math.hypot(e.stderr, ref.stderr) for e in ests)
         allowed = stats.binom.isf(5e-4, len(seeds), 2 * stats.t.sf(3.0, 45))
         assert misses <= allowed, (misses, allowed, ref)
-
-
-@pytest.mark.parametrize("s_nodes", [0, -3])
-def test_perimeter_profile_rejects_no_nodes(s_nodes):
-    with pytest.raises(ValueError, match="scale node"):
-        perimeter_profile(SLAB, BALL, CFG, s_nodes=s_nodes)
 
 
 def test_lp_vertical_perimeter():
@@ -423,7 +439,7 @@ def dt_bound_check(omega, ball, psi, cfg):
     inner = integrate_ball(f, ball, cfg)
     lhs = Estimate(abs(inner.value) / r**4, inner.stderr / r**4, inner.n)
     dt_sup = bump_dt_sup(psi)
-    big = osc(omega, core.Ball(ball.center, 10.0 * r), cfg.child(10), s_nodes=16)
+    big = osc(omega, core.Ball(ball.center, 10.0 * r), cfg.child(10))
     bound = dt_sup * big.value
     if bound == 0.0:
         # degenerate configurations: call the ratio 0 when the left side is
