@@ -11,14 +11,15 @@ horizontal line s -> w * (s, 0, 0), an isometric copy of the real line.
 So the distance depends only on the (x, y) part, and a plane fit is a
 weighted fit of a line to the projected points.
 p = inf and p = 2 are solved exactly: half the least width of the points,
-attained across an edge of their convex hull and found by rotating
-calipers (Houle-Toussaint 1988), and the line through the weighted mean
-along the least-variance direction.
+attained across an edge of their convex hull (by quickhull) and found by
+rotating calipers (Houle-Toussaint 1988), and the line through the
+weighted mean along the least-variance direction.
 Other p search 180 normal angles over [0, pi), the smallest angle winning
-ties, then refine the best; per angle the offset is the weighted median
-min{v : W(a <= v) >= W/2} for p = 1 and a bounded convex 1-d solve
-otherwise.  The exact L^1 optimum, a line through two sample points
-(Martini-Schoebel 1998), costs O(m^2); the grid value is at or above it.
+ties, then refine the best by golden-section search within one grid step;
+per angle the offset is the weighted median min{v : W(a <= v) >= W/2} for
+p = 1 and a golden-section search of the convex objective otherwise.  The
+exact L^1 optimum, a line through two sample points (Martini-Schoebel
+1998), costs O(m^2); the grid value is at or above it.
 Only the value is meant for assertions, not which optimal plane wins.
 
 The perimeter majorant and the Carleson scan share one loop over local
@@ -118,6 +119,24 @@ def _thin(points: np.ndarray, weights: np.ndarray, max_points: int) -> tuple[np.
     return points[::stride], weights[::stride] * (n / len(points[::stride]))
 
 
+def _golden(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(x, fn(x)) at the better inner point of a golden-section search on
+    [lo, hi], once the bracket is narrower than tol; fn unimodal there."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0  # the inverse golden ratio
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    while hi - lo > tol:
+        if fc <= fd:  # a minimum lies in [lo, d]
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
 def _offset_solve(a: np.ndarray, w: np.ndarray, p_exp: float) -> tuple[float, float]:
     """Best offset and the attained sum(w * |a - c|^p) for one direction.
 
@@ -132,16 +151,7 @@ def _offset_solve(a: np.ndarray, w: np.ndarray, p_exp: float) -> tuple[float, fl
     lo, hi = float(a.min()), float(a.max())
     if lo == hi:
         return lo, 0.0
-    from scipy.optimize import minimize_scalar  # scipy loads on first use, not with the package
-
-    res = minimize_scalar(
-        lambda c: float(np.sum(w * np.abs(a - c) ** p_exp)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10 * max(1.0, hi - lo)},
-    )
-    c = float(res.x)
-    return c, float(np.sum(w * np.abs(a - c) ** p_exp))
+    return _golden(lambda c: float(np.sum(w * np.abs(a - c) ** p_exp)), lo, hi, 1e-10 * max(1.0, hi - lo))
 
 
 def _direction_objective(z: np.ndarray, w: np.ndarray, theta: float, p_exp: float) -> tuple[float, float]:
@@ -161,17 +171,10 @@ def _plane_search(z: np.ndarray, w: np.ndarray, p_exp: float, coarse: bool) -> t
     best = int(np.argmin(objs))  # first minimum: smallest-theta tie break
     theta, offset, obj = float(thetas[best]), float(offs[best]), float(objs[best])
     if not coarse:
-        from scipy.optimize import minimize_scalar
-
         step = math.pi / m
-        res = minimize_scalar(
-            lambda th: _direction_objective(z, w, th, p_exp)[1],
-            bounds=(theta - step, theta + step),
-            method="bounded",
-            options={"xatol": 1e-9},
-        )
-        if res.fun < obj:
-            theta = float(res.x)
+        th, val = _golden(lambda th: _direction_objective(z, w, th, p_exp)[1], theta - step, theta + step, 1e-9)
+        if val < obj:
+            theta = th
             offset, obj = _direction_objective(z, w, theta, p_exp)
     return theta, offset, obj
 
@@ -190,16 +193,31 @@ def _l2_plane(z: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     return theta, float(mean @ normal), float(w @ (d @ normal) ** 2)
 
 
+def _hull(z: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of the points z, counter-clockwise from
+    the lowest leftmost: two for a collinear set, one for coincident points.
+    Quickhull: the farthest point f strictly right of a chord p -> q is a
+    vertex, and p -> f and f -> q are split in turn, from a stack."""
+    order = np.lexsort((z[:, 1], z[:, 0]))
+    a, b = z[order[0]], z[order[-1]]
+    stack, out = [(b, a, z), (a, b, z)], []
+    while stack:
+        p, q, pts = stack.pop()
+        cross = (q[0] - p[0]) * (pts[:, 1] - p[1]) - (q[1] - p[1]) * (pts[:, 0] - p[0])
+        right = cross < 0
+        if right.any():
+            f, pts = pts[np.argmin(cross)], pts[right]
+            stack += [(f, q, pts), (p, f, pts)]
+        else:
+            out.append(p)
+    return np.array(out[:1] if np.array_equal(a, b) else out)
+
+
 def _linf_plane(z: np.ndarray) -> tuple[float, float, float]:
     """(theta, offset, half width) of the plane with the least largest distance."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        v = z[ConvexHull(z).vertices]
-    except QhullError:  # fewer than 3 points, or all on one line
-        d = z[np.argmax(np.sum((z - z[0]) ** 2, axis=1))] - z[0]
-        theta, normal = _unit(np.array([-d[1], d[0]]) if np.any(d) else np.array([1.0, 0.0]))
-    else:
+    v = _hull(z)
+    theta, normal = 0.0, np.array([1.0, 0.0])  # coincident points: any plane through them
+    if len(v) > 1:
         # Rotating calipers: the least width is across a hull edge, and the
         # vertex farthest inside from edge i starts the first edge turned by
         # pi or more from it.  The counter-clockwise edges of the hull turn

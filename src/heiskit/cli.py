@@ -496,8 +496,9 @@ def _exp_carleson(cfg: ExperimentConfig):
     columns = ["domain_label", "R", "p_exp", "coefficient", "ratio", "n", "seed"]
     rows = []
     for k, R in enumerate(_radii(cfg)):
-        scan = beta.carleson_scan(g, core.point(*cfg.center), R, cfg.p_exp, scfg.child(k))
-        rows.append((g.label, R, cfg.p_exp, "beta", scan.ratio, cfg.samples, cfg.seed))
+        child = scfg.child(k)
+        scan = beta.carleson_scan(g, core.point(*cfg.center), R, cfg.p_exp, child)
+        rows.append((g.label, R, cfg.p_exp, "beta", scan.ratio, cfg.samples, child.seed))
     summary = {"ratios": [r[4] for r in rows], "failures": []}
     return columns, rows, summary
 
@@ -511,10 +512,10 @@ def _exp_perimeter_beta(cfg: ExperimentConfig):
     rows = []
     for k, R in enumerate(_radii(cfg)):
         grid = oscillation.ScaleGrid(min(smin, R / 8), max(smax, R), per)
-        res = beta.perimeter_beta_bound(g, core.Ball(core.point(*cfg.center), R),
-                                        cfg.p_exp, grid, scfg.child(k))
+        child = scfg.child(k)
+        res = beta.perimeter_beta_bound(g, core.Ball(core.point(*cfg.center), R), cfg.p_exp, grid, child)
         rows.append((g.label, R, cfg.p_exp, res.lhs.value, res.lhs.stderr, res.rhs,
-                     res.bulk_term, res.beta_term, res.ratio, cfg.samples, cfg.seed))
+                     res.bulk_term, res.beta_term, res.ratio, cfg.samples, child.seed))
     summary = {"ratios": [r[8] for r in rows], "failures": []}
     return columns, rows, summary
 

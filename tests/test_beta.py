@@ -275,6 +275,65 @@ def test_general_p_offset_solve_is_convex_consistent():
     assert v3 <= 1e-5  # single plane still recovered for non-special p
 
 
+@pytest.mark.parametrize("p_exp", [1.5, 3.0])
+def test_offset_solve_matches_bounded_brent(p_exp):
+    # the golden-section offset against scipy's bounded Brent search at the
+    # same xatol.  Brent stops within 2 (sqrt(eps) |c| + xatol / 3) of the
+    # minimum, and a sum known to about 1e-14 relative pins the minimum only
+    # to sqrt(2e-14 f / f'') where its second derivative is f''
+    from scipy.optimize import minimize_scalar
+
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 3])
+        a = rng.normal(size=500) * 0.4 + 0.2
+        w = rng.uniform(0.5, 2.0, 500)
+        xatol = 1e-10 * max(1.0, float(np.ptp(a)))
+        ref = minimize_scalar(lambda c: float(np.sum(w * np.abs(a - c) ** p_exp)), bounds=(a.min(), a.max()),
+                              method="bounded", options={"xatol": xatol})
+        c, obj = beta._offset_solve(a, w, p_exp)
+        curv = p_exp * (p_exp - 1) * float(np.sum(w * np.abs(a - ref.x) ** (p_exp - 2)))
+        brent = 2 * (math.sqrt(np.finfo(float).eps) * abs(ref.x) + xatol / 3)
+        assert abs(c - ref.x) <= brent + xatol + math.sqrt(2e-14 * ref.fun / curv)
+        assert obj <= ref.fun * (1 + 1e-14)
+
+
+def signed_area(v):
+    return 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]))
+
+
+def test_hull_matches_qhull():
+    # the same vertices as scipy's Qhull, counter-clockwise, on random sets
+    # and on 20,000 points of a circle, every one a vertex
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(17)
+    sets = [rng.normal(size=(n, 2)) * rng.uniform(0.1, 3.0, 2) for n in [3, 4, 500, *rng.integers(3, 501, 40)]]
+    th = rng.permutation(20_000) * (2 * math.pi / 20_000)
+    sets.append(np.stack((np.cos(th), np.sin(th)), -1))
+    for z in sets:
+        v, ref = beta._hull(z), z[ConvexHull(z).vertices]
+        assert len(v) == len(ref) and {tuple(p) for p in v} == {tuple(p) for p in ref}
+        assert signed_area(v) > 0
+    assert len(v) == 20_000
+
+
+def test_hull_of_degenerate_sets():
+    # Qhull rejects these: a collinear set keeps its two ends, in the order
+    # of (x, y), and coincident points keep one
+    sample = domains.surface_sample(domains.flat(0.0, 0.0), domains.region_for_ball(BALL), 5000, seed=3)
+    z = sample.points[sample.in_ball(BALL)][:, :2]
+    assert len(z) > 1000 and not np.any(z[:, 0])
+    assert np.array_equal(beta._hull(z), [z[np.argmin(z[:, 1])], z[np.argmax(z[:, 1])]])
+    assert np.array_equal(beta._hull(z[[7, 3]]), z[[7, 3]] if z[7, 1] < z[3, 1] else z[[3, 7]])
+    assert np.array_equal(beta._hull(np.tile([0.3, -0.2], (5, 1))), [[0.3, -0.2]])
+
+
+def test_beta_inf_of_degenerate_sets_is_zero():
+    for pts in (plane_cloud(0.3, n=200), np.tile([0.3, -0.2, 0.1], (5, 1))):
+        res = beta.beta_inf(make_sample(pts), BALL)
+        assert res.value == 0.0 and res.plane == core.VerticalPlane(0.0, 0.3)
+
+
 def test_osc_beta_compare_flat():
     g = domains.flat(0.0, 0.0)
     res = beta.osc_beta_compare(g, BALL, SampleConfig(n=50_000, seed=2))

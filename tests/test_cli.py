@@ -324,26 +324,36 @@ def test_riesz_test_identical_across_workers(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_fibre_path_does_not_import_scipy(tmp_path):
-    # the fibre pass needs numpy alone: importing scipy.stats.qmc costs
-    # 65-71 MB of peak RSS and 1-1.3 s (2-core Xeon VM), which would double
-    # the peak RSS of an osc-scan and dini run
+def test_no_experiment_imports_scipy(tmp_path):
+    # the package needs numpy alone: importing scipy.stats.qmc costs 65-71 MB
+    # of peak RSS and 1-1.3 s (2-core Xeon VM), and with scipy.optimize and
+    # scipy.spatial a one-shot beta-scan loads 793 modules and peaks at 85 MB,
+    # against 259 and 43 MB without
+    common = ["--samples", "5000", "--seed", "3"]
     argvs = [
-        [name, "--domain", "holder:H=1,tau=0.5", *extra, "--samples", "20000", "--seed", "3",
-         "--out", str(tmp_path / f"{name}.csv")]
-        for name, extra in (("osc-scan", ["--radii", "0.5,1"]), ("dini", ["--scales", "2^-1:1:1"]))
+        ["invariants", "--seed", "3"],
+        ["osc-scan", "--domain", _HOLDER, "--radii", "0.5,1", *common],
+        ["dini", "--domain", _HOLDER, "--scales", "2^-1:1:1", *common],
+        ["beta-scan", "--domain", _LIFT, "--radius", "1", "--p-exp", "1", *common],
+        ["beta-scan", "--domain", _LIFT, "--radius", "1", "--p-exp", "3", *common],
+        ["osc-vs-beta", "--domain", _LIFT, "--radius", "0.25", *common],
+        ["riesz-test", "--domain", _LIFT, "--radius", "1", *common],
+        ["carleson", "--domain", _LIFT, "--radius", "1", "--p-exp", "4", *common],
+        ["perimeter-beta", "--domain", _HOLDER, "--scales", "2^-2:1:1", *common],
     ]
+    assert {argv[0] for argv in argvs} == set(cli._RUNNERS)
+    argvs = [[*argv, "--out", str(tmp_path / f"{k}.csv")] for k, argv in enumerate(argvs)]
     code = (
         "import sys\n"
         "from heiskit import cli\n"
-        f"assert all(cli.main(argv) == 0 for argv in {argvs!r})\n"
+        f"print([cli.main(argv) for argv in {argvs!r}])\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n")[:2] == [str([0] * len(argvs)), "[]"]
 
 
 def test_invariants_experiment(tmp_path):
@@ -433,6 +443,27 @@ def test_dini_rows_reproduce_from_their_seed(tmp_path):
         est = oscillation.osc(dom, core.Ball(core.point(*center), float(row["r"])),
                               SampleConfig(int(row["n"]), int(row["seed"])))
         assert (repr(est.value), repr(est.stderr)) == (row["estimate"], row["stderr"])
+
+
+@pytest.mark.parametrize("name", ["carleson", "perimeter-beta"])
+def test_local_beta_rows_reproduce_from_their_seed(tmp_path, name):
+    # row k is drawn on the run's child(k), and reports that seed
+    out = tmp_path / f"{name}.csv"
+    assert run_main([
+        name, "--domain", _HOLDER, "--radii", "0.5,1", "--scales", "2^-2:1:1", "--p-exp", "2",
+        "--samples", "5000", "--seed", "5", "--out", str(out),
+    ]) == 0
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    assert [int(row["seed"]) for row in rows] == [SampleConfig(5000, 5).child(k).seed for k in range(2)]
+    g = domains.vertical_holder(1.0, 0.5)
+    for row in rows:
+        R, cfg = float(row["R"]), SampleConfig(int(row["n"]), int(row["seed"]))
+        if name == "carleson":
+            ratio = beta.carleson_scan(g, core.point(0, 0, 0), R, 2.0, cfg).ratio
+        else:
+            grid = oscillation.ScaleGrid(min(0.25, R / 8), max(1.0, R), 1)
+            ratio = beta.perimeter_beta_bound(g, core.Ball(core.point(0, 0, 0), R), 2.0, grid, cfg).ratio
+        assert repr(float(ratio)) == row["ratio"]
 
 
 @pytest.mark.parametrize("name, extra", [("osc-scan", ["--radii", "0.5,1"]), ("dini", ["--scales", "2^-1:1:1"])])
