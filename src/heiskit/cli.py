@@ -485,8 +485,9 @@ def _exp_riesz_test(cfg: ExperimentConfig):
                      max(row.op_stderr, row.adj_stderr), cfg.samples, cfg.seed))
     op = [abs(row.op) for row in scan.rows] or [math.nan]
     adj = [abs(row.adj) for row in scan.rows] or [math.nan]
+    # the rows' n is the sample count; each sample's stderr rests on scan.replicates lattices
     summary = {"sup_op": max(op), "sup_adj": max(adj), "median_op": float(np.median(op)),
-               "median_adj": float(np.median(adj)), "failures": failures}
+               "median_adj": float(np.median(adj)), "replicates": scan.replicates, "failures": failures}
     return _RIESZ_COLUMNS, rows, summary
 
 

@@ -26,9 +26,8 @@ stderr of their spread; where every fibre gives the same number (a slab and
 a ball centred on the t-axis) that stderr is 0.  It means the 16-node sum
 is exact up to rounding, not the s-average: on the slab that sum is 5.1e-4
 below the integral pi/6 (the exact s-average is ROADMAP direction 1).  Any
-other oracle takes the sampled path, which draws the full ball sample and
-evaluates the indicator at every point and every shift; its replicates are
-single points.
+other oracle takes the sampled path, which draws the full ball sample, as
+3-D lattices, and evaluates the indicator at every point and every shift.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from .core import Ball, as_points
 from .quadrature import Estimate, SampleConfig, _ball_chunks, _disc_chunks, _estimate_from_moments
-from .quadrature import _map_chunks, _merge_moments, _moments
+from .quadrature import _map_chunks, _merge_moments, _replicate_moments
 
 __all__ = [
     "ScaleGrid",
@@ -96,42 +95,51 @@ def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
             # p * (0, 0, s^2) = (x, y, t + s^2): right translation by a vertical
             # element is a plain Euclidean shift in t.
             shifted = pts.copy()
-            shifted[:, 2] += s * s
+            shifted[..., 2] += s * s
             yield np.abs(base - omega.indicator(shifted))
         return
     # B(c, r) = c * B(0, r), so its fibre over (x, y) is [t_c - r^2/4,
     # t_c + r^2/4] with t_c = c_t + (c_x y - x c_y)/2; the gap is 1 on it
     # exactly for t in [T - s^2, T).
+    # in place where an array is not read again, which bounds the pool
+    # threads' memory and keeps every bit of the plain expressions
     x, y = pts[..., 0], pts[..., 1]
     cx, cy, ct = ball.center
-    tc = ct + 0.5 * (cx * y - x * cy)
+    tc = cx * y
+    tc -= x * cy
+    tc *= 0.5
+    tc += ct
     length = 0.5 * ball.radius**2
     cross = crossing(x, y)
     lo = tc - 0.5 * length
-    hi = np.minimum(cross, tc + 0.5 * length)
+    tc += 0.5 * length
+    hi = np.minimum(cross, tc, out=tc)
     for s in mids:
-        yield np.maximum(0.0, hi - np.maximum(cross - s * s, lo)) / length
+        gap = cross - s * s
+        np.maximum(gap, lo, out=gap)
+        np.subtract(hi, gap, out=gap)
+        np.maximum(0.0, gap, out=gap)
+        gap /= length
+        yield gap
 
 
 def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     """v(ball)(s) at every node s and, last, their average over the nodes,
-    as arrays of correlated estimates from one pass over one ball sample;
-    a domain with a crossing draws only the sample's (x, y), as shifted
-    lattices.  Each chunk's leading axis holds its independent replicates,
-    the lattices or, on the sampled path, single points: the moments are
-    those of one mean per replicate."""
+    as arrays of correlated estimates from one pass over one ball sample of
+    shifted lattices; a domain with a crossing draws only the sample's
+    (x, y).  Each chunk's leading axis holds its lattices, and the moments
+    are those of one mean per lattice.  The gaps lie in [0, 1], so the
+    means are taken about 0."""
     sample = _ball_chunks if getattr(omega, "crossing", None) is None else _disc_chunks
 
     def moments(pts):
-        def replicate_means(d):
-            return d.reshape(len(pts), -1).mean(axis=1)
-
+        shape = pts.shape[:2]
         parts, total = [], 0
         for d in _gaps(omega, ball, pts, nodes):
-            parts.append(_moments(replicate_means(d)))
-            total = total + d
-        means, m2s, _ = zip(*parts, _moments(replicate_means(total / len(nodes))))
-        return np.array(means), np.array(m2s), len(pts)
+            parts.append(_replicate_moments(d.ravel(), shape))
+            total += d
+        means, m2s, reps, _ = zip(*parts, _replicate_moments((total / len(nodes)).ravel(), shape))
+        return np.array(means), np.array(m2s), reps[0], 0.0
 
     return _estimate_from_moments(*_merge_moments(_map_chunks(*sample(ball, cfg), moments)), ball.volume)
 

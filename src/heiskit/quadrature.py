@@ -1,25 +1,27 @@
-"""Seeded Monte-Carlo integration over metric balls.
+"""Seeded randomised quasi-Monte-Carlo integration over metric balls.
 
 Determinism contract: every estimate is a pure function of (region, integrand,
-SampleConfig).  Samples are generated in fixed-size chunks, chunk i drawing
-from an independent stream seeded by (seed, i), and partial results are
-reduced in chunk order.  Running chunks in parallel therefore reproduces the
-serial result bit for bit; the worker count comes from the HEISKIT_WORKERS
-environment variable (default 1).  One chunk map owns that thread pool; it
-runs integrate_ball, the gap pass of oscillation and domains.surface_sample.
-The metric ball is the one volume sampler.  Where the gap pass reads only
-(x, y) it draws the ball's disc alone, as randomised quasi-Monte Carlo:
-R >= 32 rank-1 Fibonacci lattices of N points each, every one moved by its
-own random shift and folded by the baker's map (Cranley and Patterson 1976;
-Hickernell 2002), every chunk packing whole lattices shifted from (seed,
-chunk), so the bits stay independent of the worker count.  An estimate from
-lattices is the mean of the R lattice means, and its stderr is their
-spread.  Every mean and stderr in the package comes from one accumulator:
-_moments, _merge_moments and _estimate_from_moments.
+SampleConfig).  Every uniform draw of the package comes from one lattice
+engine, _lattice_chunks: R >= 32 rank-1 lattices of N points in the unit
+square or cube (R >= 256 on surfaces), each moved by its own random shift and folded by the
+baker's map (Cranley and Patterson 1976; Hickernell 2002).  Chunks pack
+whole lattices, chunk i drawing its shifts from a stream seeded by
+(seed, i), and partial results are reduced in chunk order.  Running chunks
+in parallel therefore reproduces the serial result bit for bit; the worker
+count comes from the HEISKIT_WORKERS environment variable (default 1).  One
+chunk map owns that thread pool; it runs integrate_ball, the gap pass of
+oscillation, domains.surface_sample and the shell samples of
+riesz.testing_scan.  The metric ball is the one volume sampler, mapped from
+3-D lattices in cylinder coordinates; where the gap pass reads only (x, y)
+it maps 2-D lattices onto the ball's disc alone.  An estimate is the mean
+of the R lattice means, and its stderr is their spread.  Every mean and
+stderr in the package comes from one replicate accumulator:
+_replicate_moments, _merge_moments and _estimate_from_moments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent import futures
@@ -38,6 +40,14 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+
+# The largest 3-D lattice: the search of _korobov costs O(N^2), about 0.07 s here.
+_KOROBOV_MAX = 1597
+
+# The least lattice count of a ball sample.  A z-score on the stderr of R
+# lattice means follows a t distribution with R - 1 degrees of freedom, and
+# P(|t_31| > 6) = 1.2e-6.
+_BALL_REPS = 32
 
 _MASK63 = (1 << 63) - 1
 
@@ -84,8 +94,8 @@ class SampleConfig:
 class Estimate:
     """A numerical integral with its statistical error.
 
-    n counts the independent replicates behind the estimate: sample points,
-    or on the fibre pass of oscillation the shifted lattices.  stderr is the
+    n counts the independent replicates behind the estimate, the shifted
+    lattices (of single points when few are drawn).  stderr is the
     sample standard deviation of the replicate means divided by sqrt(n),
     times the volume normalisation.  value and stderr may also be
     arrays of per-component estimates sharing one n, as in the profile
@@ -109,41 +119,99 @@ def _workers() -> int:
     return int(raw)
 
 
-def _mc_chunks(n: int, size: int = CHUNK) -> list[tuple[int, int]]:
-    """(chunk index, chunk size) pairs covering n items, size to a chunk."""
-    return [(i, min(size, n - i * size)) for i in range(-(-n // size))]
+# (make_chunk, chunks): make_chunk(first, count) builds the nodes of one chunk
+_Chunks = tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]
 
 
-def _disc(u: np.ndarray, v: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) on the disc |z| <= radius of (u, v) in the unit square.
+def _disc(u: np.ndarray, radius: float) -> None:
+    """Map (u[0], u[1]) in the unit square, in place, to (x, y) on the disc |z| <= radius.
 
     Polar coordinates: radius r*sqrt(u) makes the areal density uniform, and
     v is the angle's fraction of a turn.
     """
-    rad = radius * np.sqrt(u)
-    ang = v * (2.0 * math.pi)
-    return rad * np.cos(ang), rad * np.sin(ang)
+    rad, ang = u[0], u[1]
+    np.sqrt(rad, out=rad)
+    rad *= radius
+    ang *= 2.0 * math.pi
+    x = np.cos(ang)
+    x *= rad
+    np.sin(ang, out=ang)
+    ang *= rad
+    rad[...] = x
 
 
-def _cylinder_chunk(rng: np.random.Generator, m: int, radius: float) -> np.ndarray:
-    """m points uniform w.r.t. Lebesgue measure on B(0, radius).
+def _fibonacci(limit: int) -> tuple[int, int]:
+    """(F_k, F_(k-1)), F_k the largest Fibonacci number <= limit (1 when limit < 2)."""
+    size, step = 1, 1
+    while size + step <= limit:
+        size, step = size + step, size
+    return size, step
 
-    The ball is the cylinder {|z| <= r} x {|t| <= r^2/4}, so no rejection is
-    needed: draw the disc part (see _disc) and the t part uniformly on the
-    slab.  Draw order (u, angle, t) is fixed; changing it would silently
-    change every seeded result.
+
+@functools.lru_cache(maxsize=None)
+def _korobov(size: int) -> int:
+    """The multiplier a of the 3-D Korobov lattice {j (1, a, a^2) / N mod 1}, N = size.
+
+    a minimises the figure of merit P2 = mean_j prod_k (1 + 2 pi^2 B2({j z_k / N})) - 1,
+    B2(x) = x^2 - x + 1/6, over every a < N (Sloan and Joe 1994).  Equivalent
+    lattices, such as those of a and N - a, tie up to rounding, so a is the
+    smallest within 1e-12 of the minimum.  The search costs O(N^2), so it
+    runs once per N, when a lattice of N points is first drawn.
     """
-    x, y = _disc(rng.random(m), rng.random(m), radius)
-    tt = (rng.random(m) - 0.5) * (0.5 * radius**2)
-    return np.stack((x, y, tt), axis=-1)
+
+    def factor(z: np.ndarray) -> np.ndarray:
+        x = z % size / size
+        return 1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)
+
+    j = np.arange(size)
+    first = factor(j)
+    merit = np.full(size, math.inf)
+    for lo in range(1, size, 32):
+        a = np.arange(lo, min(lo + 32, size))[:, None]
+        merit[lo:lo + len(a)] = (first * factor(j * a) * factor(j * (a * a % size))).mean(axis=1)
+    return int(np.argmax(merit <= merit.min() * (1.0 + 1e-12)))
 
 
-# (make_chunk, chunks): make_chunk(i, size) builds the nodes of chunk i
-_Chunks = tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]
+def _lattice_chunks(d: int, n: int, seed: int, reps: int) -> tuple:
+    """(make_chunk, chunks, (R, N)) of R randomly shifted, folded rank-1
+    lattices of N points in the unit cube [0, 1]^d.
+
+    N is the largest Fibonacci number up to n // reps and up to CHUNK for
+    d = 2 or _KOROBOV_MAX for d = 3, so R = n // N >= reps lattices (n of
+    one point each when n < 2 reps).  The base lattice is
+    {j z / N mod 1 : j < N}: the Fibonacci lattice z = (1, F_(k-1)) for d = 2, the Korobov lattice
+    z = (1, a, a^2 mod N) of _korobov for d = 3.  Each lattice is shifted
+    mod 1 by its own uniform draw and folded by the baker's map
+    u -> 1 - |2u - 1|, which keeps every point uniform (Cranley and
+    Patterson 1976; Hickernell 2002).  chunks are (first lattice, count)
+    pairs, CHUNK // N lattices to a chunk; make_chunk(first, count) returns
+    their (d, count, N) coordinates, the shifts drawn from (seed, chunk), so
+    the bits do not depend on the worker count.
+    """
+    size, step = _fibonacci(min(n // reps, CHUNK if d == 2 else _KOROBOV_MAX))
+    if d == 2:
+        gens = (1, step)
+    else:
+        a = _korobov(size)
+        gens = (1, a, a * a % size)
+    j = np.arange(size)
+    lattice = np.stack([j * z % size for z in gens])[:, None, :] / size
+    reps, per = n // size, CHUNK // size
+
+    def make(first: int, count: int) -> np.ndarray:
+        u = lattice + np.random.default_rng([seed, first // per]).random((d, count, 1))
+        # the fold of u mod 1 is twice the distance from u to the nearest
+        # integer, which skips the costly float modulo
+        u -= np.rint(u)
+        np.abs(u, out=u)
+        u *= 2.0
+        return u
+
+    return make, [(first, min(per, reps - first)) for first in range(0, reps, per)], (reps, size)
 
 
 def _map_chunks(make_chunk: Callable[[int, int], object], chunks: list[tuple[int, int]], fn: Callable) -> list:
-    """fn(make_chunk(i, size)) for every chunk, in chunk order.
+    """fn(make_chunk(*chunk)) for every chunk, in chunk order.
 
     The chunks run on a pool of HEISKIT_WORKERS threads; each result depends
     on its own chunk only, so the list is the same for every worker count.
@@ -160,47 +228,45 @@ def _map_chunks(make_chunk: Callable[[int, int], object], chunks: list[tuple[int
 
 
 def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
-    """(make_chunk, chunks) of the ball's nodes, left-translated to its center.
+    """(make_chunk, chunks) of uniform points of the ball, as (lattices, N, 3)
+    arrays of _BALL_REPS or more 3-D lattices (see _lattice_chunks) in
+    cylinder coordinates.
 
-    Left translations have unit Jacobian, so translating a uniform sample of
+    The ball B(0, r) is the cylinder {|z| <= r} x {|t| <= r^2/4}: the first
+    two coordinates map to the disc (see _disc) and the third to t.  Left
+    translations have unit Jacobian, so translating a uniform sample of
     B(0, r) by the center yields a uniform sample of B(center, r).
     """
+    make_unit, chunks, _ = _lattice_chunks(3, cfg.n, cfg.seed, _BALL_REPS)
 
-    def make(i: int, size: int) -> np.ndarray:
-        return mul(ball.center, _cylinder_chunk(np.random.default_rng([cfg.seed, i]), size, ball.radius))
+    def make(first: int, count: int) -> np.ndarray:
+        u = make_unit(first, count)
+        _disc(u, ball.radius)
+        u[2] -= 0.5
+        u[2] *= 0.5 * ball.radius**2
+        return mul(ball.center, np.moveaxis(u, 0, -1))
 
-    return make, _mc_chunks(cfg.n)
+    return make, chunks
 
 
 def _disc_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     """(make_chunk, chunks) of points uniform on the ball's disc, as
-    (lattices, N, 2) arrays of shifted, folded Fibonacci lattices.
+    (lattices, N, 2) arrays of _BALL_REPS or more 2-D lattices (see
+    _lattice_chunks).
 
-    N = F_k is the largest Fibonacci number <= min(n // 32, CHUNK), which
-    makes R = n // N >= 32 lattices (n of one point each when n < 64).
-    Each is {(j / N, j F_(k-1) / N mod 1)} shifted mod 1 by its own uniform
-    pair and folded by the baker's map u -> 1 - |2u - 1|, which keeps every
-    point uniform (Hickernell 2002); mapped by _disc, the R * N <= n points
-    are (x, y) of uniform points of the ball, since a left translation
-    moves (x, y) by the center's (x, y).  Chunk i packs CHUNK // N whole
-    lattices and draws their shifts from (seed, i).
+    Mapped by _disc, the R * N <= n points are (x, y) of uniform points of
+    the ball, since a left translation moves (x, y) by the center's (x, y).
     """
-    cx, cy = ball.center[0], ball.center[1]
-    size, step = 1, 1  # F_k and F_(k-1)
-    while size + step <= min(cfg.n // 32, CHUNK):
-        size, step = size + step, size
-    j = np.arange(size)
-    lattice = np.stack((j, j * step % size))[:, None, :] / size
+    make_unit, chunks, _ = _lattice_chunks(2, cfg.n, cfg.seed, _BALL_REPS)
 
-    def make(i: int, count: int) -> np.ndarray:
-        shifted = lattice + np.random.default_rng([cfg.seed, i]).random((2, count, 1))
-        # the fold of u mod 1 is twice the distance from u to the nearest
-        # integer, which skips the costly float modulo
-        shifted -= np.rint(shifted)
-        x, y = _disc(*2.0 * np.abs(shifted), ball.radius)
-        return np.stack((cx + x, cy + y), axis=-1)
+    def make(first: int, count: int) -> np.ndarray:
+        u = make_unit(first, count)
+        _disc(u, ball.radius)
+        u[0] += ball.center[0]
+        u[1] += ball.center[1]
+        return np.moveaxis(u, 0, -1)
 
-    return make, _mc_chunks(cfg.n // size, CHUNK // size)
+    return make, chunks
 
 
 def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:
@@ -221,40 +287,47 @@ def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:
     return mean, dev.sum(axis=-1) + zeros * (mean.real**2 + mean.imag**2), n
 
 
-def _reduce_uniform(
-    make_chunk: Callable[[int, int], np.ndarray],
-    chunks: list[tuple[int, int]],
-    f: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float, float, int]:
-    """(mean, M2, n) of f over the chunks, merged by :func:`_merge_moments`."""
+def _replicate_moments(vals: np.ndarray, shape: tuple[int, int], rep: Optional[np.ndarray] = None,
+                       ref: float = 0.0) -> tuple:
+    """(mean, M2, R, ref): the moments of the means of R replicates of N draws, shape = (R, N), about ref.
 
-    def moments(pts: np.ndarray) -> tuple[float, float, int]:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (len(pts),):
-            raise ValueError("integrand must map (m, 3) points to (m,) values")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
-            raise NonFiniteIntegrandError(pts[bad], float(vals[bad]))
-        return _moments(vals)
-
-    return _merge_moments(_map_chunks(make_chunk, chunks, moments))
+    Without rep, the last axis of vals holds every draw, replicate by
+    replicate.  With rep, it holds the kept draws alone, in draw order, and
+    rep the replicate of each, so rep does not decrease; every other draw
+    counts as a zero, and ref is 0.  Taking the means about a value of the
+    draws, such as the first, keeps their rounding at the scale of the
+    spread rather than of the values, so adding a constant to vals does not
+    move M2.  vals may be real or complex and a leading axis of components
+    gets one mean and one M2 each, as in _moments; _merge_moments takes the
+    tuples of several chunks.
+    """
+    reps, size = shape
+    if rep is None:
+        means = (vals - ref).reshape(vals.shape[:-1] + shape).mean(axis=-1)
+    else:
+        means = np.zeros(vals.shape[:-1] + (reps,), dtype=vals.dtype)
+        starts = np.flatnonzero(np.diff(rep, prepend=-1))  # the first kept draw of each replicate
+        means[..., rep[starts]] = np.add.reduceat(vals, starts, axis=-1) / size
+    return (*_moments(means), ref)
 
 
 def _merge_moments(parts: list[tuple]) -> tuple:
-    """Merge per-chunk (mean, M2, n) in list order into one (mean, M2, n).
+    """Merge the (mean, M2, n, ref) of _replicate_moments, in list order, into one (mean, M2, n).
 
     The pairwise update of Chan, Golub and LeVeque does not cancel when the
-    mean is large against the spread; means and M2 may be arrays of
-    per-component moments sharing one n.
+    mean is large against the spread.  It works about the first part's
+    reference, so ref_i - ref_0, the difference of two values of one
+    integrand, is the only term that sees their magnitude.  Means and M2
+    may be arrays of per-component moments sharing one n.
     """
-    mean, m2, n = parts[0]
-    for pmean, pm2, pn in parts[1:]:
-        delta = pmean - mean
+    mean, m2, n, ref = parts[0]
+    for pmean, pm2, pn, pref in parts[1:]:
+        delta = (pmean - mean) + (pref - ref)
         total = n + pn
         mean = mean + delta * pn / total
         m2 = m2 + pm2 + delta * delta * n * pn / total
         n = total
-    return mean, m2, n
+    return ref + mean, m2, n
 
 
 def _estimate_from_moments(mean, m2, n: int, volume: float) -> Estimate:
@@ -267,7 +340,19 @@ def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: Sampl
 
     f must be bounded on the ball and vectorised: it receives an (m, 3)
     array of points and returns (m,) real values.  Normalisation uses the
-    exact volume (pi/2) r^4.  Non-finite integrand values abort with the
-    offending point.
+    exact volume (pi/2) r^4; the stderr is the spread of the R lattice
+    means, each taken about the first value of its chunk.  Non-finite
+    integrand values abort with the offending point.
     """
-    return _estimate_from_moments(*_reduce_uniform(*_ball_chunks(ball, cfg), f), ball.volume)
+
+    def moments(pts: np.ndarray) -> tuple:
+        flat = pts.reshape(-1, 3)
+        vals = np.asarray(f(flat), dtype=float)
+        if vals.shape != (len(flat),):
+            raise ValueError("integrand must map (m, 3) points to (m,) values")
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmax(~np.isfinite(vals)))
+            raise NonFiniteIntegrandError(flat[bad], float(vals[bad]))
+        return _replicate_moments(vals, pts.shape[:2], ref=vals[0])
+
+    return _estimate_from_moments(*_merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments)), ball.volume)

@@ -27,10 +27,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point, proj_vertical
-from .domains import (IntrinsicGraph, Rect, _unit_normal, graph_map, intrinsic_gradient, region_for_ball,
-                      surface_sample)
-from .quadrature import (Estimate, SampleConfig, _estimate_from_moments, _map_chunks, _mc_chunks, _moments,
-                         integrate_ball)
+from .domains import (_SURFACE_REPS, IntrinsicGraph, Rect, _unit_normal, graph_map, intrinsic_gradient,
+                      region_for_ball, surface_sample)
+from .quadrature import (Estimate, SampleConfig, _estimate_from_moments, _lattice_chunks, _map_chunks,
+                         _merge_moments, _replicate_moments, integrate_ball)
 
 __all__ = [
     "KERNEL_DEGREES",
@@ -275,8 +275,9 @@ def bump(spec: BumpSpec, p) -> np.ndarray:
 
 class SparseSampleWarning(UserWarning):
     """Surface draws are sparse at a truncation radius: testing_scan warns
-    when its draws per unit area at nu = 2 eps, n / |Rg| + n h_p(2 eps), fall
-    below 16 / eps^2, i.e. when their mean spacing there exceeds eps / 4."""
+    when its draws per unit area at nu = 2 eps, m / |Rg| + m h_p(2 eps) for
+    m = R * N draws of each sample, fall below 16 / eps^2, i.e. when their
+    mean spacing there exceeds eps / 4."""
 
 
 @dataclass(frozen=True)
@@ -295,28 +296,34 @@ class TestingScanRow:
 class TestingScan:
     """The rows, ball by ball, and for each ball the count of its uniform
     draws where f is not 0; a ball whose count is 0 is degenerate and has
-    no rows."""
+    no rows.  replicates is the R of the uniform and the shell samples, the
+    lattices behind every stderr."""
 
     rows: list[TestingScanRow]
     support_draws: list[int]
+    replicates: int
 
 
 class _Shell:
-    """The shell sample of n draws around p, and the mixture's draw density.
+    """The shell sample of m = R * N draws around p, and the mixture's draw density.
 
     On the parameter plane p's sheared quasi-norm is nu(w) = max(|dy|,
     sqrt(2 |dtau|)), dy = y - y_p, dtau = t - t_p - x_p dy, (y_p, t_p) the
     projection of p; {nu <= rho} is the unpadded region_for_ball(B(p, rho)),
-    of area 2 rho^3.  A draw takes rho log-uniform on [rho0, rho1] and (a, b)
-    uniform on the unit nu-ball [-1, 1] x [-1/2, 1/2] and dilates (a, b)
-    onto the nu-sphere of radius rho, so its density is h(w) = 1 / (6 L nu^3)
-    on [rho0, rho1], L = log(rho1 / rho0).  rho1 is the largest nu over the
-    region's corners (nu is a maximum of convex functions), at least 2 rho0.
+    of area 2 rho^3.  A draw maps a point (u1, u2) of the unit square to rho
+    = rho0 e^(L u1), log-uniform on [rho0, rho1] with L = log(rho1 / rho0),
+    and to the point at arclength 6 u2 along the boundary of the unit
+    nu-ball [-1, 1] x [-1/2, 1/2], which it dilates onto the nu-sphere of
+    radius rho.  Dilated back, uniform (a, b) on the unit nu-ball is uniform
+    in that arclength, so the density is that of a uniform point of the
+    ball dilated to radius rho: h(w) = 1 / (6 L nu^3) on [rho0, rho1].  rho1
+    is the largest nu over the region's corners (nu is a maximum of convex
+    functions), at least 2 rho0.
     """
 
-    def __init__(self, p: np.ndarray, region: Rect, n: int, rho0: float, seed: int):
+    def __init__(self, p: np.ndarray, region: Rect, m: int, rho0: float):
         (self.y, self.t), self.slope = proj_vertical(p), p[0]
-        self.uniform_density, self.n, self.rho0, self.seed = n / region.area, n, rho0, seed
+        self.uniform_density, self.m, self.rho0 = m / region.area, m, rho0
         ys = np.array([region.y0, region.y0, region.y1, region.y1])
         corners = np.stack((ys, np.array([region.t0, region.t1] * 2) + region.shear(ys)), -1)
         self.rho1 = max(float(np.max(self.nu(corners))), 2.0 * rho0)
@@ -327,17 +334,17 @@ class _Shell:
         return np.maximum(np.abs(dy), np.sqrt(2.0 * np.abs(w[..., 1] - self.t - self.slope * dy)))
 
     def density(self, nu) -> np.ndarray:
-        """Draws per unit area of both samples in the region, n / |Rg| + n h, at nu."""
+        """Draws per unit area of both samples in the region, m / |Rg| + m h, at nu."""
         h = 1.0 / (6.0 * self.log_ratio * np.maximum(nu, self.rho0) ** 3)
-        return self.uniform_density + self.n * np.where((nu >= self.rho0) & (nu <= self.rho1), h, 0.0)
+        return self.uniform_density + self.m * np.where((nu >= self.rho0) & (nu <= self.rho1), h, 0.0)
 
-    def draw(self, i: int, size: int) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, i])  # chunk i's own stream
-        rho = self.rho0 * np.exp(self.log_ratio * rng.random(size))
-        a = 2.0 * rng.random(size) - 1.0
-        b = rng.random(size) - 0.5
-        s = rho / np.maximum(np.abs(a), np.sqrt(2.0 * np.abs(b)))
-        return np.stack((self.y + s * a, self.t + self.slope * s * a + s * s * b), -1)
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Plane points (..., 2) of the unit-square points u = (u1, u2) of shape (2, ...)."""
+        rho = self.rho0 * np.exp(self.log_ratio * u[0])
+        arc = 6.0 * u[1]  # from (1, -1/2) counter-clockwise
+        a = np.clip(np.abs(arc - 3.5) - 1.5, -1.0, 1.0) * rho
+        b = np.clip(1.5 - np.abs(arc - 2.0), -0.5, 0.5) * (rho * rho)
+        return np.stack((self.y + a, self.t + self.slope * a + b), -1)
 
 
 def testing_scan(
@@ -353,17 +360,20 @@ def testing_scan(
     For each ball the test function f is the interior bump times the unit
     graph normal; it vanishes off the ball's parallelogram Rg =
     region_for_ball(ball).  At each evaluation point p the surface integral
-    is a defensive mixture of two samples of n draws: a uniform sample of
-    Rg, shared by every point, and p's shell sample (see _Shell), drawn
-    through the chunk map.  Each draw w of either sample is weighted by the
-    balance heuristic, area factor / (n / |Rg| + n h_p(w)): the uniform half
-    covers Rg, so the sum is unbiased, and near p the -3-homogeneous kernel
-    times the weight stays bounded.  The shell starts at half the radius
-    below which every cutoff vanishes.  Only draws where f and some cutoff
-    are not 0 reach the kernel (shell draws off Rg are dropped before they
-    are pushed to the graph), and the zeros left out enter each sample's
-    stderr in closed form.  An empty eps grid, or an eps that is not
-    positive and finite, raises ValueError.
+    is a defensive mixture of two samples of m = R * N <= n draws, each
+    R >= _SURFACE_REPS shifted, folded lattices of N points (see
+    quadrature._lattice_chunks): a uniform sample of Rg, shared by every
+    point, and p's shell sample (see _Shell), drawn through the chunk map.  Each draw w of either
+    sample is weighted by the balance heuristic, area factor / (m / |Rg| +
+    m h_p(w)): the uniform half covers Rg, so the sum is unbiased, and near
+    p the -3-homogeneous kernel times the weight stays bounded.  The shell
+    starts at half the radius below which every cutoff vanishes.  Only draws
+    where f and some cutoff are not 0 reach the kernel (shell draws off Rg
+    are dropped before they are pushed to the graph); each kept draw keeps
+    the index of its lattice, the left-out draws count as zeros of theirs,
+    and each sample's stderr is the spread of its R lattice sums.  The two
+    samples are independent, so their variances add.  An empty eps grid, or
+    an eps that is not positive and finite, raises ValueError.
     """
     rows, support_draws = [], []
     eps_grid = [float(e) for e in eps_grid]
@@ -373,26 +383,36 @@ def testing_scan(
         raise ValueError(f"eps grid must be non-empty with every eps positive and finite, got {eps_grid}")
     pts = [as_points(p) for p in points]
     eps_floor = _SQRT2_4 * min(eps_grid)  # below this radius every cutoff vanishes
+    shape = _lattice_chunks(2, n, seed, _SURFACE_REPS)[2]  # (R, N) of every sample here
     for bi, ball in enumerate(balls):
         region = region_for_ball(ball)
         psi = BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
         uniform = surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi))
-        w_u, q_u, fa_u = _bump_samples(psi, uniform.w, uniform.points, uniform.grad)
+        w_u, q_u, fa_u, rep_u = _bump_samples(psi, uniform.w, uniform.points, uniform.grad,
+                                              np.arange(uniform.n) // shape[1])
         support_draws.append(len(w_u))
         if not len(w_u):
             continue
         for pi, p in enumerate(pts):
-            shell = _Shell(p, region, n, 0.5 * eps_floor, _scan_seed(seed, 1000 + bi * len(pts) + pi))
+            shell = _Shell(p, region, uniform.n, 0.5 * eps_floor)
+            shell_seed = _scan_seed(seed, 1000 + bi * len(pts) + pi)
+            make_unit, chunks, _ = _lattice_chunks(2, n, shell_seed, _SURFACE_REPS)
 
-            def push(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                w = w[region.contains_w(w)]
-                w, q, fa = _bump_samples(psi, w, graph_map(g, w), intrinsic_gradient(g, w))
-                return _kernel_terms(p, q, fa / shell.density(shell.nu(w)), eps_floor)
+            def draw(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+                w = shell.draw(make_unit(first, count)).reshape(-1, 2)
+                return w, np.repeat(np.arange(first, first + count), shape[1])
 
-            # each sample as (koranyi norm, (K, Kstar) times f * weight) of its kept draws
+            def push(job: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
+                w, rep = job
+                inside = region.contains_w(w)
+                w, rep = w[inside], rep[inside]
+                w, q, fa, rep = _bump_samples(psi, w, graph_map(g, w), intrinsic_gradient(g, w), rep)
+                return _kernel_terms(p, q, fa / shell.density(shell.nu(w)), eps_floor, rep)
+
+            # each sample as (koranyi norm, (K, Kstar) times f * weight, lattice) of its kept draws
             strata = [
-                _kernel_terms(p, q_u, fa_u / shell.density(shell.nu(w_u)), eps_floor),
-                tuple(np.concatenate(part, axis=-1) for part in zip(*_map_chunks(shell.draw, _mc_chunks(n), push))),
+                _kernel_terms(p, q_u, fa_u / shell.density(shell.nu(w_u)), eps_floor, rep_u),
+                tuple(np.concatenate(part, axis=-1) for part in zip(*_map_chunks(draw, chunks, push))),
             ]
             for eps in eps_grid:
                 density = float(shell.density(2.0 * eps))
@@ -401,31 +421,33 @@ def testing_scan(
                                   f"{16.0 / eps**2:.3g}", SparseSampleWarning, stacklevel=2)
                 spec = BumpSpec(radius=eps, kind="phi_eps_exterior")
                 total, var = np.zeros(2, dtype=complex), np.zeros(2)  # (op, adj)
-                for kor, base in strata:
+                for kor, base, rep in strata:
                     terms = base * _profile(spec, kor / eps)
-                    total += terms.sum(axis=-1)
-                    # the sample's sum is n times its mean, left-out draws being zeros
-                    var += _estimate_from_moments(*_moments(terms, n), n).stderr ** 2
+                    # the sample's sum is R * N times the mean of its lattice means
+                    est = _estimate_from_moments(*_merge_moments([_replicate_moments(terms, shape, rep)]),
+                                                 uniform.n)
+                    total += est.value
+                    var += est.stderr**2
                 rows.append(TestingScanRow(
                     ball_center=tuple(float(c) for c in ball.center), ball_radius=ball.radius, eps=eps,
                     p=tuple(float(c) for c in p), op=complex(total[0]), op_stderr=math.sqrt(var[0]),
                     adj=complex(total[1]), adj_stderr=math.sqrt(var[1])))
-    return TestingScan(rows=rows, support_draws=support_draws)
+    return TestingScan(rows=rows, support_draws=support_draws, replicates=shape[0])
 
 
-def _bump_samples(psi: BumpSpec, w: np.ndarray, points: np.ndarray, grad: np.ndarray):
-    """(w, graph points, f * area factor = psi * (1 - i grad)) where f = psi * unit normal is not 0."""
+def _bump_samples(psi: BumpSpec, w: np.ndarray, points: np.ndarray, grad: np.ndarray, rep: np.ndarray):
+    """(w, graph points, f * area factor = psi * (1 - i grad), lattice) where f = psi * unit normal is not 0."""
     fvals = bump(psi, points)
     nz = fvals != 0.0
-    return w[nz], points[nz], fvals[nz] * (1.0 - 1j * grad[nz])
+    return w[nz], points[nz], fvals[nz] * (1.0 - 1j * grad[nz]), rep[nz]
 
 
-def _kernel_terms(p: np.ndarray, q: np.ndarray, fw: np.ndarray, eps_floor: float):
-    """(koranyi norm, (K, Kstar) times fw) of q^-1 p at the draws where it exceeds eps_floor."""
+def _kernel_terms(p: np.ndarray, q: np.ndarray, fw: np.ndarray, eps_floor: float, rep: np.ndarray):
+    """(koranyi norm, (K, Kstar) times fw, lattice) of q^-1 p at the draws where it exceeds eps_floor."""
     m = mul(inv(q), p)
     kor = koranyi_norm(m)
     near = kor > eps_floor
-    return kor[near], np.stack(_kernel_pair(m[near])) * fw[near]
+    return kor[near], np.stack(_kernel_pair(m[near])) * fw[near], rep[near]
 
 
 def _scan_seed(seed: int, k: int) -> int:
@@ -481,8 +503,11 @@ def divergence_check(
     uses the area-formula surface sample with the inward horizontal normal;
     the ratio c_hat estimates the proportionality constant between the two
     sides, which is a property of the measure normalisation and not of the
-    field.  A near-zero flux makes the ratio ill-conditioned and is flagged
-    instead of reported as a value.
+    field.  Both sides are lattice estimates, 3-D lattices on the ball and
+    2-D lattices on the parameter region: each Estimate has n = R and the
+    stderr of its R lattice means, the flux draws off the field's support
+    counting as zeros of theirs.  A near-zero flux makes the ratio
+    ill-conditioned and is flagged instead of reported as a value.
     """
 
     def integrand(pts):
@@ -493,12 +518,14 @@ def divergence_check(
 
     region = region_for_ball(V.support)
     sample = surface_sample(g, region, cfg.n, cfg.child(1).seed)
+    size = sample.n // sample.replicates
     vals = V(sample.points)
-    nz = np.any(vals != 0.0, axis=-1)  # the flux vanishes off the field's support
+    nz = np.flatnonzero(np.any(vals != 0.0, axis=-1))  # the flux vanishes off the field's support
     nu = _unit_normal(sample.grad[nz])
     flux = (vals[nz, 0] * nu.real + vals[nz, 1] * nu.imag) * sample.weights[nz]
-    # the weights carry area / n, so n times the mean flux over all n samples is the estimate
-    rhs = _estimate_from_moments(*_moments(flux, sample.n), sample.n)
+    # the weights carry area / (R N), so R N times the mean lattice mean is the estimate
+    rhs = _estimate_from_moments(*_merge_moments([_replicate_moments(flux, (sample.replicates, size), nz // size)]),
+                                 sample.n)
 
     flagged = abs(rhs.value) < max(5.0 * rhs.stderr, 1e-12)
     c_hat = math.nan if flagged else lhs.value / rhs.value

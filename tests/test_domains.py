@@ -242,14 +242,14 @@ def test_sheared_sample_matches_plain_box_monte_carlo():
         region = domains.region_for_ball(ball)
         assert region.slope != 0.0
         s = domains.surface_sample(g, region, n, seed=40 + i)
-        sheared = s.weights * s.in_ball(ball) * n
+        sheared = s.weights * s.in_ball(ball) * s.n  # s.n = R N <= n draws
         h = 0.5 * abs(region.slope) * (region.y1 - region.y0)
         y0, y1, t0, t1 = region.y0, region.y1, region.t0 - h, region.t1 + h
         rng = np.random.default_rng([77, i])
         wb = np.stack((rng.uniform(y0, y1, n), rng.uniform(t0, t1, n)), -1)
         inside = core.dist(domains.graph_map(g, wb), center) <= r
         box = (y1 - y0) * (t1 - t0) * domains._area_factor(domains.intrinsic_gradient(g, wb)) * inside
-        se = math.hypot(sheared.std(ddof=1), box.std(ddof=1)) / math.sqrt(n)
+        se = math.hypot(sheared.std(ddof=1) / math.sqrt(s.n), box.std(ddof=1) / math.sqrt(n))
         zs.append((sheared.mean() - box.mean()) / se)
     assert max(abs(z) for z in zs) <= 4.0, zs
 

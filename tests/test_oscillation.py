@@ -218,19 +218,20 @@ def test_one_coefficient_per_ball_and_config():
 
 
 def test_perimeter_profile_moments_match_one_pass():
-    # three uneven chunks merged in order, against np.mean / np.std over the
-    # concatenated stream of the same nodes
+    # three uneven chunks of 3-D lattices merged in order, against the mean
+    # and spread of the R = 93 lattice means of the gaps at the same nodes
     dom = sampled(domains.vertical_holder(1.0, 0.5))
     cfg = SampleConfig(n=150_000, seed=5)
     mids, prof, _ = perimeter_profile(dom, BALL, cfg)
     vals, errs = prof.value, prof.stderr
     pts = np.concatenate(_map_chunks(*_ball_chunks(BALL, cfg), lambda p: p))
+    assert pts.shape == (prof.n, 1597, 3) and prof.n == 93
     base = dom.indicator(pts)
     scale = BALL.volume / BALL.radius**4
     for s, v, e in zip(mids, vals, errs):
-        d = np.abs(base - dom.indicator(pts + [0.0, 0.0, s * s]))
-        assert v == pytest.approx(scale * d.mean(), rel=1e-12)
-        assert e == pytest.approx(scale * np.std(d, ddof=1) / math.sqrt(len(d)), rel=1e-12)
+        means = np.abs(base - dom.indicator(pts + [0.0, 0.0, s * s])).mean(axis=1)
+        assert v == pytest.approx(scale * means.mean(), rel=1e-12)
+        assert e == pytest.approx(scale * np.std(means, ddof=1) / math.sqrt(len(means)), rel=1e-12)
         assert v > 0.0
 
 

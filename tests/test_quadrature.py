@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,8 @@ from heiskit.quadrature import (
     SampleConfig,
     _ball_chunks,
     _estimate_from_moments,
+    _korobov,
+    _lattice_chunks,
     _map_chunks,
     _moments,
     _workers,
@@ -23,7 +27,8 @@ CFG = SampleConfig(n=200_000, seed=11)
 
 
 def collect(ball, cfg):
-    return np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda pts: pts))
+    """The ball's nodes, lattice after lattice, as one (R * N, 3) array."""
+    return np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda pts: pts)).reshape(-1, 3)
 
 
 def test_sample_config_validation():
@@ -81,11 +86,94 @@ def test_translation_invariance_of_volume():
 
 
 def test_stderr_scaling():
-    f = lambda p: (p[:, 2] > 0).astype(float)
-    a = integrate_ball(f, BALL, SampleConfig(n=50_000, seed=3))
-    b = integrate_ball(f, BALL, SampleConfig(n=100_000, seed=4))
+    # at a fixed lattice size N = 1597 the stderr is the spread of R lattice
+    # means over sqrt(R), so doubling R divides it by sqrt(2); each spread,
+    # over 399 or 799 degrees of freedom, errs by about 1 / sqrt(2 (R - 1)),
+    # 3.5 % and 2.5 %, so 15 % is over 3 sigma of their ratio
+    f = lambda p: (p[:, 0] + p[:, 2] > 0.1).astype(float)
+    a = integrate_ball(f, BALL, SampleConfig(n=400 * 1597, seed=3))
+    b = integrate_ball(f, BALL, SampleConfig(n=800 * 1597, seed=4))
+    assert (a.n, b.n) == (400, 800)
     ratio = a.stderr / b.stderr
     assert math.sqrt(2) * 0.85 <= ratio <= math.sqrt(2) * 1.15
+
+
+def p2_merit(size, a):
+    """The P2 figure of merit of the Korobov lattice (1, a, a^2) of size points, term by term."""
+    total = 0.0
+    for j in range(size):
+        term = 1.0
+        for z in (1, a, a * a):
+            x = j * z % size / size
+            term *= 1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)
+        total += term
+    return total / size - 1.0
+
+
+def test_korobov_multiplier_minimises_p2():
+    # the full search, against a term-by-term sum over every multiplier;
+    # equivalent lattices tie up to rounding (22 and 26 at N = 144)
+    assert _korobov(1597) == 477
+    for size in (8, 55, 144):
+        merits = np.array([p2_merit(size, a) for a in range(1, size)])
+        assert _korobov(size) == 1 + int(np.flatnonzero(merits <= merits.min() * (1 + 1e-12))[0])
+    # and none is searched at import
+    code = "import heiskit.cli, heiskit.quadrature as q; assert q._korobov.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": "src"})
+
+
+@pytest.mark.parametrize(
+    "n, size, reps", [(150_000, 1597, 93), (40_000, 987, 40), (5_000, 144, 34), (100, 3, 33), (7, 1, 7)]
+)
+def test_ball_lattices_are_shifted_folded_korobov_lattices(n, size, reps):
+    # R = n // N lattices of N points, N the largest Fibonacci number up to
+    # n // 32 and 1,597; each is the fold u -> 1 - |2u - 1| of the base
+    # lattice {j (1, a, a^2) / N mod 1} shifted mod 1 by one of the two
+    # shifts whose fold is its first point, no two sharing a shift, and
+    # mapped to the ball in cylinder coordinates
+    make, chunks, shape = _lattice_chunks(3, n, 5, 32)
+    cube = np.concatenate([make(*chunk) for chunk in chunks], axis=1)
+    assert shape == (reps, size) and cube.shape == (3, reps, size)
+    assert len(np.unique(cube[:, :, 0], axis=1).T) == reps
+    a = _korobov(size)
+    j = np.arange(size)
+    for got, z in zip(cube, (1, a, a * a % size)):
+        base = j * z % size / size
+        first = got[:, :1]
+        misses = [np.abs(1.0 - np.abs(2.0 * ((base + shift) % 1.0) - 1.0) - got).max(axis=1)
+                  for shift in (first / 2, 1.0 - first / 2)]
+        assert np.minimum(*misses).max() <= 1e-12
+    ball = core.Ball(core.point(0.4, -0.7, 0.3), 1.3)
+    pts = np.concatenate(_map_chunks(*_ball_chunks(ball, SampleConfig(n=n, seed=5)), lambda p: p))
+    m = core.mul(core.inv(ball.center), pts)
+    rad, ang = np.hypot(m[..., 0], m[..., 1]), np.arctan2(m[..., 1], m[..., 0]) / (2.0 * math.pi)
+    np.testing.assert_allclose(rad, ball.radius * np.sqrt(cube[0]), rtol=1e-12, atol=1e-12)
+    assert np.max(np.abs((ang - cube[1] + 0.5) % 1.0 - 0.5)) <= 1e-12
+    np.testing.assert_allclose(m[..., 2], (cube[2] - 0.5) * 0.5 * ball.radius**2, atol=1e-12)
+
+
+def plain_ball(ball, n, seed):
+    """n independent uniform points of the ball: the plain Monte-Carlo reference."""
+    rng = np.random.default_rng(seed)
+    rad, ang = ball.radius * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+    t = (rng.random(n) - 0.5) * (0.5 * ball.radius**2)
+    return core.mul(ball.center, np.stack((rad * np.cos(ang), rad * np.sin(ang), t), axis=-1))
+
+
+def test_integrate_ball_matches_plain_monte_carlo():
+    # a discontinuous integrand, a smooth weight on a Hoelder graph's
+    # super-graph, against plain Monte Carlo with its own seed: within 3
+    # combined sigma
+    from heiskit import domains
+
+    g = domains.vertical_holder(1.0, 0.5)
+    ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.8)
+    f = lambda p: g.indicator(p) * (1.0 + p[:, 0] * p[:, 1] + p[:, 2])
+    est = integrate_ball(f, ball, SampleConfig(n=100_000, seed=8))
+    vals = f(plain_ball(ball, 400_000, 9))
+    ref, ref_se = ball.volume * vals.mean(), ball.volume * vals.std(ddof=1) / math.sqrt(len(vals))
+    assert abs(est.value - ref) <= 3.0 * math.hypot(est.stderr, ref_se)
+    assert est.n == 62 and 0.0 < est.stderr < ref_se
 
 
 def test_parallel_execution_bitwise_identical():
@@ -99,15 +187,19 @@ def test_parallel_execution_bitwise_identical():
 def test_stderr_unchanged_by_large_offset():
     # a constant does not change the variance; rounding f + 1e8 moves each
     # value by at most half an ulp of 1e8, and 16 ulp covers the reduction.
-    # Four chunks of uneven size, merged, match the one-pass sample variance.
+    # Four chunks of lattices, the last one short, merged, match the mean
+    # and spread of the R = 130 lattice means of one pass.
     ball = core.Ball(core.point(0.3, -0.2, 0.1), 0.5)
-    cfg = SampleConfig(n=3 * (1 << 16) + 1000, seed=0)
+    cfg = SampleConfig(n=130 * 1597 + 1000, seed=0)
     f = lambda p: p[:, 0] ** 2 + p[:, 2]
     a = integrate_ball(f, ball, cfg)
     b = integrate_ball(lambda p: f(p) + 1e8, ball, cfg)
     assert abs(a.stderr - b.stderr) <= 16.0 * math.ulp(1e8) * ball.volume / math.sqrt(cfg.n)
-    vals = f(collect(ball, cfg))
-    assert a.stderr == pytest.approx(ball.volume * math.sqrt(np.var(vals, ddof=1) / len(vals)), rel=1e-12)
+    # these means round at 1e-16 of f, which is up to 1e-12 of their spread
+    means = f(collect(ball, cfg)).reshape(a.n, -1).mean(axis=1)
+    assert a.n == 130
+    assert a.value == pytest.approx(ball.volume * means.mean(), rel=1e-12)
+    assert a.stderr == pytest.approx(ball.volume * np.std(means, ddof=1) / math.sqrt(a.n), rel=1e-9)
 
 
 def test_nonfinite_integrand_reports_point():

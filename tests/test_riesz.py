@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from heiskit import core, domains, riesz
-from heiskit.quadrature import SampleConfig, _estimate_from_moments, _moments
+from heiskit import core, domains, quadrature, riesz
+from heiskit.quadrature import SampleConfig, _estimate_from_moments, _lattice_chunks, _merge_moments, _replicate_moments
 from test_oscillation import bump_dt, bump_dt_sup
 
 RNG = np.random.default_rng(123)
@@ -291,20 +291,32 @@ def test_divergence_check_field_independent():
     assert abs(cs[0] - cs[1]) / abs(cs[0]) <= 0.05
 
 
+def plain_surface_sample(g, region, n, seed):
+    """n independent uniform draws of the region pushed to the graph with
+    area weights: the plain Monte-Carlo reference of domains.surface_sample."""
+    rng = np.random.default_rng(seed)
+    y = region.y0 + rng.random(n) * (region.y1 - region.y0)
+    w = np.stack((y, region.t0 + rng.random(n) * (region.t1 - region.t0) + region.shear(y)), axis=-1)
+    grad = domains.intrinsic_gradient(g, w)
+    return domains.WeightedSample(w=w, points=domains.graph_map(g, w), region=region, seed=seed, grad=grad,
+                                  weights=domains._area_factor(grad) * (region.area / n))
+
+
 def dense_testing_scan(g, balls, eps_grid, points, n, seed):
-    """Reference for testing_scan by another design, a stratified ladder:
-    around each point the parallelograms region_for_ball gives B(p, r_k),
-    r_k doubling from 8 min(eps) up to 2R, are nested; stratum k samples
-    patch k minus patch k - 1 and a sample of the ball's parallelogram
-    covers the rest.  Every stratum is drawn and every sample goes through
-    the kernel, the cutoff and the variances, zeros included."""
+    """Reference for testing_scan by another design, a stratified ladder of
+    plain Monte-Carlo samples: around each point the parallelograms
+    region_for_ball gives B(p, r_k), r_k doubling from 8 min(eps) up to 2R,
+    are nested; stratum k samples patch k minus patch k - 1 and a sample of
+    the ball's parallelogram covers the rest.  Every stratum is drawn and
+    every sample goes through the kernel, the cutoff and the variances,
+    zeros included."""
     rows = []
     eps_grid = [float(e) for e in eps_grid]
     pts = [core.as_points(p) for p in points]
     eps_floor = 2.0**0.25 * min(eps_grid)
     for bi, ball in enumerate(balls):
         region = domains.region_for_ball(ball)
-        coarse = domains.surface_sample(g, region, n, seed=riesz._scan_seed(seed, 2 * bi))
+        coarse = plain_surface_sample(g, region, n, riesz._scan_seed(seed, 2 * bi))
         psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
         f_coarse = riesz.bump(psi, coarse.points) * domains._unit_normal(domains.intrinsic_gradient(g, coarse.w))
         for pi, p in enumerate(pts):
@@ -317,7 +329,7 @@ def dense_testing_scan(g, balls, eps_grid, points, n, seed):
             patches = [domains.region_for_ball(core.Ball(p, r_k)) for r_k in ladder]
             layers = []
             for k, patch in enumerate(patches):
-                sample_k = domains.surface_sample(g, patch, n, seed=riesz._scan_seed(seed, tag + k))
+                sample_k = plain_surface_sample(g, patch, n, riesz._scan_seed(seed, tag + k))
                 mask = None if k == 0 else ~patches[k - 1].contains_w(sample_k.w)
                 nu = domains._unit_normal(domains.intrinsic_gradient(g, sample_k.w))
                 layers.append((sample_k, riesz.bump(psi, sample_k.points) * nu, mask))
@@ -405,18 +417,29 @@ def test_testing_scan_matches_dense_reference(case):
     assert nonzero > 0  # the comparison is not between two tables of zeros
 
 
+def lattice_points(n, seed):
+    """The unit-square points of a surface sample's lattices for (n, seed), as one (2, R, N) array."""
+    make, chunks, _ = _lattice_chunks(2, n, seed, domains._SURFACE_REPS)
+    return np.concatenate([make(*chunk) for chunk in chunks], axis=1)
+
+
 def test_shell_mixture_weights_are_exact():
     # with f = 1 the balance-heuristic mixture estimates the parallelogram's
-    # area without bias, for a point inside it and one outside
+    # area without bias, for a point inside it and one outside; each sample's
+    # stderr is the spread of its lattice sums, draws off the region zeros
     region = domains.Rect(-0.7, 0.9, -0.4, 0.5, slope=0.6)
     n = 50_000
-    uniform = domains.surface_sample(domains.flat(0.0, 0.0), region, n, seed=21).w
+    uniform = domains.surface_sample(domains.flat(0.0, 0.0), region, n, seed=21)
+    shape = (uniform.replicates, uniform.n // uniform.replicates)
     for j, p in enumerate([core.point(0.4, 0.3, 0.1), core.point(-1.0, 1.2, 0.8)]):
-        shell = riesz._Shell(p, region, n, 0.01, seed=22 + j)
-        drawn = shell.draw(0, n)
+        shell = riesz._Shell(p, region, uniform.n, 0.01)
+        drawn = shell.draw(lattice_points(n, 22 + j)).reshape(-1, 2)
         total, var = 0.0, 0.0
-        for w in (uniform, drawn[region.contains_w(drawn)]):
-            est = _estimate_from_moments(*_moments(1.0 / shell.density(shell.nu(w)), n), n)
+        for w in (uniform.w, drawn):
+            keep = np.flatnonzero(region.contains_w(w))
+            vals = 1.0 / shell.density(shell.nu(w[keep]))
+            est = _estimate_from_moments(*_merge_moments([_replicate_moments(vals, shape, keep // shape[1])]),
+                                         uniform.n)
             total += est.value
             var += est.stderr**2
         assert abs(total - region.area) <= 4.0 * math.sqrt(var), (j, total, region.area, var)
@@ -425,13 +448,123 @@ def test_shell_mixture_weights_are_exact():
 def test_shell_radius_is_log_uniform():
     region = domains.region_for_ball(core.Ball(core.point(0.2, 0.1, 0.0), 1.0))
     n = 100_000
-    shell = riesz._Shell(core.point(0.5, -0.3, 0.2), region, n, 0.003, seed=23)
-    nu = shell.nu(shell.draw(0, n))
+    shell = riesz._Shell(core.point(0.5, -0.3, 0.2), region, n, 0.003)
+    nu = shell.nu(shell.draw(lattice_points(n, 23))).ravel()
     assert np.all((nu >= shell.rho0 * (1 - 1e-12)) & (nu <= shell.rho1 * (1 + 1e-12)))
-    # octaves from rho0, the last one cut at rho1; each count is binomial
+    # octaves from rho0, the last one cut at rho1; each count is at most
+    # binomial, the lattice stratifying rho
     edges = shell.rho0 * 2.0 ** np.arange(math.floor(math.log2(shell.rho1 / shell.rho0)) + 1)
     edges = np.append(edges, shell.rho1)
     counts = np.histogram(nu, bins=edges)[0]
     probs = np.diff(np.log(edges)) / shell.log_ratio
+    m = len(nu)
     assert len(counts) >= 8
-    assert np.all(np.abs(counts - n * probs) <= 4.0 * np.sqrt(n * probs * (1 - probs))), (counts, n * probs)
+    assert np.all(np.abs(counts - m * probs) <= 4.0 * np.sqrt(m * probs * (1 - probs))), (counts, m * probs)
+
+
+def shell_coordinates(shell, w):
+    """(nu, arclength) of plane points w about the shell's point: w dilated
+    back onto the boundary of the unit nu-ball [-1, 1] x [-1/2, 1/2], the
+    arclength counted from (1, -1/2) counter-clockwise."""
+    nu = shell.nu(w)
+    dy = w[..., 0] - shell.y
+    a, b = dy / nu, (w[..., 1] - shell.t - shell.slope * dy) / nu**2
+    vertical = np.abs(a) >= np.sqrt(2.0 * np.abs(b))
+    arc = np.where(vertical, np.where(a > 0, b + 0.5, 3.5 - b), np.where(b > 0, 2.0 - a, a + 5.0))
+    return nu, arc
+
+
+def test_two_uniform_shell_draw_matches_the_three_uniform_draw():
+    # the shell maps (u1, u2) to nu = rho0 e^(L u1) and arclength 6 u2, and
+    # that is the law of the draw that dilated a uniform point of the unit
+    # nu-ball onto the sphere of a log-uniform radius: the two samples agree
+    # in both coordinates (two-sample Kolmogorov-Smirnov, each p > 1e-3)
+    from scipy import stats
+
+    region = domains.region_for_ball(core.Ball(core.point(0.2, 0.1, 0.0), 1.0))
+    shell = riesz._Shell(core.point(0.5, -0.3, 0.2), region, 40_000, 0.003)
+    u = lattice_points(40_000, 24)
+    nu, arc = shell_coordinates(shell, shell.draw(u))
+    # nu and the arclength round at 1e-16 of the coordinates, about 1e-10 of nu^2 >= 9e-6
+    np.testing.assert_allclose(nu, shell.rho0 * np.exp(shell.log_ratio * u[0]), rtol=1e-9)
+    assert np.max(np.abs((arc - 6.0 * u[1] + 3.0) % 6.0 - 3.0)) <= 1e-9
+
+    rng = np.random.default_rng(25)
+    m = nu.size
+    rho = shell.rho0 * np.exp(shell.log_ratio * rng.random(m))
+    a, b = 2.0 * rng.random(m) - 1.0, rng.random(m) - 0.5
+    s = rho / np.maximum(np.abs(a), np.sqrt(2.0 * np.abs(b)))
+    old = np.stack((shell.y + s * a, shell.t + shell.slope * s * a + s * s * b), -1)
+    for new, ref in zip((nu.ravel(), arc.ravel()), shell_coordinates(shell, old)):
+        assert stats.ks_2samp(new, ref).pvalue > 1e-3
+
+
+def plain_row(g, ball, eps, p, n, seed):
+    """T f(p) and T* f(p) at one eps with their stderrs, by plain Monte Carlo
+    over the ball's parallelogram: the sum of f * kernel * cutoff * weight."""
+    sample = plain_surface_sample(g, domains.region_for_ball(ball), n, seed)
+    psi = riesz.BumpSpec(center=tuple(ball.center), radius=ball.radius)
+    m = core.mul(core.inv(sample.points), p)
+    cutoff = riesz.bump(riesz.BumpSpec(radius=eps, kind="phi_eps_exterior"), m)
+    fw = riesz.bump(psi, sample.points) * domains._unit_normal(sample.grad) * sample.weights * cutoff
+    active = cutoff != 0.0
+    terms = np.zeros((2, n), dtype=complex)
+    terms[:, active] = np.stack(riesz._kernel_pair(m[active])) * fw[active] * n
+    return [(t.mean(), math.sqrt((t.real.var(ddof=1) + t.imag.var(ddof=1)) / n)) for t in terms]
+
+
+def test_lattice_estimates_match_plain_monte_carlo():
+    # one testing_scan row and the divergence flux against plain Monte Carlo
+    # with its own seed, within 3 combined sigma (the volume side has its
+    # own test above)
+    g = domains.euclidean_lift("abs", scale=0.5)
+    ball = core.Ball(core.point(0.1, 0.2, 0.0), 0.5)
+    p = domains.graph_map(g, np.array([0.6, 0.3]))
+    scan = riesz.testing_scan(g, [ball], [0.25], [p], n=50_000, seed=30)
+    (row,) = scan.rows
+    for got, se, (ref, ref_se) in zip((row.op, row.adj), (row.op_stderr, row.adj_stderr),
+                                      plain_row(g, ball, 0.25, p, 400_000, 31)):
+        assert abs(got - ref) <= 3.0 * math.hypot(se, ref_se), (got, ref, se, ref_se)
+        assert 0.0 < se < ref_se
+
+    V = riesz.bump_field(core.point(-0.3, 0.2, 0.0), 1.2, (1.0, -0.5))
+    res = riesz.divergence_check(g, V, SampleConfig(n=60_000, seed=32))
+    assert (res.lhs.n, res.rhs.n) == (37, 257)
+    sample = plain_surface_sample(g, domains.region_for_ball(V.support), 400_000, 33)
+    vals, nu = V(sample.points), domains._unit_normal(sample.grad)
+    flux = (vals[:, 0] * nu.real + vals[:, 1] * nu.imag) * sample.weights * sample.n
+    ref, ref_se = flux.mean(), flux.std(ddof=1) / math.sqrt(sample.n)
+    assert abs(res.rhs.value - ref) <= 3.0 * math.hypot(res.rhs.stderr, ref_se)
+
+
+def test_riesz_stderrs_cover_the_seed_to_seed_spread():
+    # as for the gap pass: R lattice means at n = 4,096, 46 on the ball and
+    # 315 on the surface, give z-scores against a far finer estimate that
+    # follow a t distribution with at least 45 degrees of freedom (a
+    # testing_scan row adds two such variances, which only adds degrees of
+    # freedom); over 100 seeds each quantity may miss 3 combined sigma as
+    # often as the binomial tail allows at a false-failure rate of 5e-4
+    from scipy import stats
+
+    g = domains.euclidean_lift("abs", scale=0.5)
+    ball = core.Ball(core.point(0.1, 0.2, 0.0), 0.5)
+    p = domains.graph_map(g, np.array([0.3, 0.1]))
+    V = riesz.bump_field(core.point(0.2, -0.1, 0.1), 0.8, (0.8, 0.4))
+    chi = lambda q: g.indicator(q) * (1.0 + q[:, 0] * q[:, 1] + q[:, 2])
+
+    def quantities(n, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", riesz.SparseSampleWarning)
+            (row,) = riesz.testing_scan(g, [ball], [0.125], [p], n=n, seed=seed).rows
+        div = riesz.divergence_check(g, V, SampleConfig(n=n, seed=seed))
+        vol = quadrature.integrate_ball(chi, ball, SampleConfig(n=n, seed=seed))
+        return [(row.op.real, row.op_stderr), (row.adj.imag, row.adj_stderr), (div.lhs.value, div.lhs.stderr),
+                (div.rhs.value, div.rhs.stderr), (vol.value, vol.stderr)]
+
+    fine = quantities(1 << 20, 1)
+    seeds = range(100, 200)
+    runs = [quantities(4096, seed) for seed in seeds]
+    allowed = stats.binom.isf(5e-4, len(seeds), 2 * stats.t.sf(3.0, 45))
+    for k, (ref, ref_se) in enumerate(fine):
+        misses = sum(abs(run[k][0] - ref) > 3 * math.hypot(run[k][1], ref_se) for run in runs)
+        assert misses <= allowed, (k, misses, allowed, ref)
