@@ -28,7 +28,7 @@ import numpy as np
 
 from . import core
 from .core import Ball, as_points, dist, embed_vertical, inv, mul, proj_vertical
-from .quadrature import SampleConfig, _lattice_chunks, _map_chunks
+from .quadrature import SampleConfig, _lattice_chunks, _lattice_shape, _map_chunks
 
 __all__ = [
     "DomainOracle",
@@ -237,8 +237,8 @@ class WeightedSample:
     up to one global constant shared by all samples.  grad, when present, is
     the intrinsic gradient behind each weight; callers that need the unit
     normal form it from grad on the samples they use.  The n draws are
-    replicates lattices of n / replicates points, one after another, so
-    draw j belongs to lattice j // (n / replicates).
+    shape = (R, N): R = replicates lattices of N points, one after another,
+    so draw j belongs to lattice j // N.
     """
 
     w: np.ndarray
@@ -252,6 +252,10 @@ class WeightedSample:
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.replicates, self.n // self.replicates
 
     def in_ball(self, ball: Ball) -> np.ndarray:
         return dist(self.points, ball.center) <= ball.radius
@@ -277,7 +281,8 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
     computed again.
     """
     SampleConfig(n, seed)  # the same checks of n and seed
-    make_unit, chunks, (reps, size) = _lattice_chunks(2, n, seed, _SURFACE_REPS)
+    reps, size = shape = _lattice_shape(2, n, _SURFACE_REPS)
+    make_unit, chunks = _lattice_chunks(2, shape, seed)
 
     def draw(first: int, count: int) -> np.ndarray:
         y, t = make_unit(first, count).reshape(2, -1)

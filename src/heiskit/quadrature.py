@@ -16,12 +16,12 @@ riesz.testing_scan.  The metric ball is the one volume sampler, mapped from
 it maps 2-D lattices onto the ball's disc alone.  An estimate is the mean
 of the R lattice means, and its stderr is their spread.  Every mean and
 stderr in the package comes from one replicate accumulator:
-_replicate_moments, _merge_moments and _estimate_from_moments.
+_replicate_moments and _merge_moments, or _masked_estimate where only
+some draws are kept.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent import futures
@@ -41,7 +41,14 @@ __all__ = [
 
 CHUNK = 1 << 16
 
-# The largest 3-D lattice: the search of _korobov costs O(N^2), about 0.07 s here.
+# The multiplier a of the 3-D Korobov lattice {j (1, a, a^2) / N mod 1} for
+# every Fibonacci N up to _KOROBOV_MAX: a minimises the figure of merit
+# P2 = mean_j prod_k (1 + 2 pi^2 B2({j z_k / N})) - 1, B2(x) = x^2 - x + 1/6,
+# over every a < N (Sloan and Joe 1994), the smallest a within 1e-12 of the
+# minimum, since equivalent lattices such as those of a and N - a tie up to
+# rounding.  tests/test_quadrature.py repeats the search.
+_KOROBOV = {1: 0, 2: 1, 3: 1, 5: 2, 8: 2, 13: 2, 21: 3, 34: 12, 55: 19, 89: 23, 144: 22, 233: 33, 377: 32,
+            610: 238, 987: 456, 1597: 477}
 _KOROBOV_MAX = 1597
 
 # The least lattice count of a ball sample.  A z-score on the stderr of R
@@ -148,55 +155,40 @@ def _fibonacci(limit: int) -> tuple[int, int]:
     return size, step
 
 
-@functools.lru_cache(maxsize=None)
-def _korobov(size: int) -> int:
-    """The multiplier a of the 3-D Korobov lattice {j (1, a, a^2) / N mod 1}, N = size.
-
-    a minimises the figure of merit P2 = mean_j prod_k (1 + 2 pi^2 B2({j z_k / N})) - 1,
-    B2(x) = x^2 - x + 1/6, over every a < N (Sloan and Joe 1994).  Equivalent
-    lattices, such as those of a and N - a, tie up to rounding, so a is the
-    smallest within 1e-12 of the minimum.  The search costs O(N^2), so it
-    runs once per N, when a lattice of N points is first drawn.
-    """
-
-    def factor(z: np.ndarray) -> np.ndarray:
-        x = z % size / size
-        return 1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)
-
-    j = np.arange(size)
-    first = factor(j)
-    merit = np.full(size, math.inf)
-    for lo in range(1, size, 32):
-        a = np.arange(lo, min(lo + 32, size))[:, None]
-        merit[lo:lo + len(a)] = (first * factor(j * a) * factor(j * (a * a % size))).mean(axis=1)
-    return int(np.argmax(merit <= merit.min() * (1.0 + 1e-12)))
-
-
-def _lattice_chunks(d: int, n: int, seed: int, reps: int) -> tuple:
-    """(make_chunk, chunks, (R, N)) of R randomly shifted, folded rank-1
-    lattices of N points in the unit cube [0, 1]^d.
+def _lattice_shape(d: int, n: int, reps: int) -> tuple[int, int]:
+    """(R, N) of the lattices behind n draws in d = 2 or 3 dimensions.
 
     N is the largest Fibonacci number up to n // reps and up to CHUNK for
     d = 2 or _KOROBOV_MAX for d = 3, so R = n // N >= reps lattices (n of
-    one point each when n < 2 reps).  The base lattice is
-    {j z / N mod 1 : j < N}: the Fibonacci lattice z = (1, F_(k-1)) for d = 2, the Korobov lattice
-    z = (1, a, a^2 mod N) of _korobov for d = 3.  Each lattice is shifted
-    mod 1 by its own uniform draw and folded by the baker's map
-    u -> 1 - |2u - 1|, which keeps every point uniform (Cranley and
-    Patterson 1976; Hickernell 2002).  chunks are (first lattice, count)
-    pairs, CHUNK // N lattices to a chunk; make_chunk(first, count) returns
-    their (d, count, N) coordinates, the shifts drawn from (seed, chunk), so
-    the bits do not depend on the worker count.
+    one point each when n < 2 reps).
     """
-    size, step = _fibonacci(min(n // reps, CHUNK if d == 2 else _KOROBOV_MAX))
+    size = _fibonacci(min(n // reps, CHUNK if d == 2 else _KOROBOV_MAX))[0]
+    return n // size, size
+
+
+def _lattice_chunks(d: int, shape: tuple[int, int], seed: int) -> _Chunks:
+    """(make_chunk, chunks) of R randomly shifted, folded rank-1 lattices of
+    N points in the unit cube [0, 1]^d, shape = (R, N) of _lattice_shape.
+
+    The base lattice is {j z / N mod 1 : j < N}: the Fibonacci lattice
+    z = (1, F_(k-1)) for d = 2, the Korobov lattice z = (1, a, a^2 mod N)
+    of _KOROBOV for d = 3.  Each lattice is shifted mod 1 by its own
+    uniform draw and folded by the baker's map u -> 1 - |2u - 1|, which
+    keeps every point uniform (Cranley and Patterson 1976; Hickernell
+    2002).  chunks are (first lattice, count) pairs, CHUNK // N lattices to
+    a chunk; make_chunk(first, count) returns their (d, count, N)
+    coordinates, the shifts drawn from (seed, chunk), so the bits do not
+    depend on the worker count.
+    """
+    reps, size = shape
     if d == 2:
-        gens = (1, step)
+        gens = (1, _fibonacci(size)[1])
     else:
-        a = _korobov(size)
+        a = _KOROBOV[size]
         gens = (1, a, a * a % size)
     j = np.arange(size)
     lattice = np.stack([j * z % size for z in gens])[:, None, :] / size
-    reps, per = n // size, CHUNK // size
+    per = CHUNK // size
 
     def make(first: int, count: int) -> np.ndarray:
         u = lattice + np.random.default_rng([seed, first // per]).random((d, count, 1))
@@ -207,7 +199,7 @@ def _lattice_chunks(d: int, n: int, seed: int, reps: int) -> tuple:
         u *= 2.0
         return u
 
-    return make, [(first, min(per, reps - first)) for first in range(0, reps, per)], (reps, size)
+    return make, [(first, min(per, reps - first)) for first in range(0, reps, per)]
 
 
 def _map_chunks(make_chunk: Callable[[int, int], object], chunks: list[tuple[int, int]], fn: Callable) -> list:
@@ -237,7 +229,7 @@ def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     translations have unit Jacobian, so translating a uniform sample of
     B(0, r) by the center yields a uniform sample of B(center, r).
     """
-    make_unit, chunks, _ = _lattice_chunks(3, cfg.n, cfg.seed, _BALL_REPS)
+    make_unit, chunks = _lattice_chunks(3, _lattice_shape(3, cfg.n, _BALL_REPS), cfg.seed)
 
     def make(first: int, count: int) -> np.ndarray:
         u = make_unit(first, count)
@@ -257,7 +249,7 @@ def _disc_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
     Mapped by _disc, the R * N <= n points are (x, y) of uniform points of
     the ball, since a left translation moves (x, y) by the center's (x, y).
     """
-    make_unit, chunks, _ = _lattice_chunks(2, cfg.n, cfg.seed, _BALL_REPS)
+    make_unit, chunks = _lattice_chunks(2, _lattice_shape(2, cfg.n, _BALL_REPS), cfg.seed)
 
     def make(first: int, count: int) -> np.ndarray:
         u = make_unit(first, count)
@@ -287,28 +279,32 @@ def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:
     return mean, dev.sum(axis=-1) + zeros * (mean.real**2 + mean.imag**2), n
 
 
-def _replicate_moments(vals: np.ndarray, shape: tuple[int, int], rep: Optional[np.ndarray] = None,
-                       ref: float = 0.0) -> tuple:
-    """(mean, M2, R, ref): the moments of the means of R replicates of N draws, shape = (R, N), about ref.
+def _replicate_moments(vals: np.ndarray, shape: tuple[int, int], ref: float = 0.0) -> tuple:
+    """(mean, M2, R, ref): the moments about ref of the means of R replicates of N draws, shape = (R, N).
 
-    Without rep, the last axis of vals holds every draw, replicate by
-    replicate.  With rep, it holds the kept draws alone, in draw order, and
-    rep the replicate of each, so rep does not decrease; every other draw
-    counts as a zero, and ref is 0.  Taking the means about a value of the
-    draws, such as the first, keeps their rounding at the scale of the
-    spread rather than of the values, so adding a constant to vals does not
-    move M2.  vals may be real or complex and a leading axis of components
-    gets one mean and one M2 each, as in _moments; _merge_moments takes the
-    tuples of several chunks.
+    The last axis of vals holds every draw, replicate by replicate.  Taking
+    the means about a value of the draws, such as the first, keeps their
+    rounding at the scale of the spread rather than of the values, so
+    adding a constant to vals does not move M2.  vals may be real or
+    complex and a leading axis of components gets one mean and one M2
+    each, as in _moments; _merge_moments takes the tuples of several chunks.
+    """
+    return (*_moments((vals - ref).reshape(vals.shape[:-1] + shape).mean(axis=-1)), ref)
+
+
+def _masked_estimate(vals: np.ndarray, rep: np.ndarray, shape: tuple[int, int], scale: float) -> Estimate:
+    """scale times the mean of R replicate means of N draws, shape = (R, N),
+    with the stderr of their spread, from the kept draws alone.
+
+    The last axis of vals holds the kept draws in draw order and rep the
+    replicate of each, so rep does not decrease; every other draw counts as
+    a zero of its replicate.
     """
     reps, size = shape
-    if rep is None:
-        means = (vals - ref).reshape(vals.shape[:-1] + shape).mean(axis=-1)
-    else:
-        means = np.zeros(vals.shape[:-1] + (reps,), dtype=vals.dtype)
-        starts = np.flatnonzero(np.diff(rep, prepend=-1))  # the first kept draw of each replicate
-        means[..., rep[starts]] = np.add.reduceat(vals, starts, axis=-1) / size
-    return (*_moments(means), ref)
+    means = np.zeros(vals.shape[:-1] + (reps,), dtype=vals.dtype)
+    starts = np.flatnonzero(np.diff(rep, prepend=-1))  # the first kept draw of each replicate
+    means[..., rep[starts]] = np.add.reduceat(vals, starts, axis=-1) / size
+    return _estimate_from_moments(*_moments(means), scale)
 
 
 def _merge_moments(parts: list[tuple]) -> tuple:

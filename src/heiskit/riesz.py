@@ -27,10 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point, proj_vertical
-from .domains import (_SURFACE_REPS, IntrinsicGraph, Rect, _unit_normal, graph_map, intrinsic_gradient,
+from .domains import (IntrinsicGraph, Rect, _unit_normal, graph_map, intrinsic_gradient,
                       region_for_ball, surface_sample)
-from .quadrature import (Estimate, SampleConfig, _estimate_from_moments, _lattice_chunks, _map_chunks,
-                         _merge_moments, _replicate_moments, integrate_ball)
+from .quadrature import Estimate, SampleConfig, _lattice_chunks, _map_chunks, _masked_estimate, integrate_ball
 
 __all__ = [
     "KERNEL_DEGREES",
@@ -297,7 +296,7 @@ class TestingScan:
     """The rows, ball by ball, and for each ball the count of its uniform
     draws where f is not 0; a ball whose count is 0 is degenerate and has
     no rows.  replicates is the R of the uniform and the shell samples, the
-    lattices behind every stderr."""
+    lattices behind every stderr (0 when there is no ball)."""
 
     rows: list[TestingScanRow]
     support_draws: list[int]
@@ -361,9 +360,10 @@ def testing_scan(
     graph normal; it vanishes off the ball's parallelogram Rg =
     region_for_ball(ball).  At each evaluation point p the surface integral
     is a defensive mixture of two samples of m = R * N <= n draws, each
-    R >= _SURFACE_REPS shifted, folded lattices of N points (see
-    quadrature._lattice_chunks): a uniform sample of Rg, shared by every
-    point, and p's shell sample (see _Shell), drawn through the chunk map.  Each draw w of either
+    the R shifted, folded lattices of N points of a surface sample (see
+    domains.surface_sample): a uniform sample of Rg, shared by every point,
+    and p's shell sample (see _Shell), drawn through the chunk map on
+    lattices of the same shape.  Each draw w of either
     sample is weighted by the balance heuristic, area factor / (m / |Rg| +
     m h_p(w)): the uniform half covers Rg, so the sum is unbiased, and near
     p the -3-homogeneous kernel times the weight stays bounded.  The shell
@@ -375,7 +375,7 @@ def testing_scan(
     samples are independent, so their variances add.  An empty eps grid, or
     an eps that is not positive and finite, raises ValueError.
     """
-    rows, support_draws = [], []
+    rows, support_draws, replicates = [], [], 0
     eps_grid = [float(e) for e in eps_grid]
     # the shell starts at a fraction of the smallest eps, so it must be > 0
     # for log(rho1 / rho0); an infinite eps truncates everything away
@@ -383,11 +383,11 @@ def testing_scan(
         raise ValueError(f"eps grid must be non-empty with every eps positive and finite, got {eps_grid}")
     pts = [as_points(p) for p in points]
     eps_floor = _SQRT2_4 * min(eps_grid)  # below this radius every cutoff vanishes
-    shape = _lattice_chunks(2, n, seed, _SURFACE_REPS)[2]  # (R, N) of every sample here
     for bi, ball in enumerate(balls):
         region = region_for_ball(ball)
         psi = BumpSpec(center=tuple(ball.center), radius=ball.radius, kind="psi_ball")
         uniform = surface_sample(g, region, n, seed=_scan_seed(seed, 2 * bi))
+        shape, replicates = uniform.shape, uniform.replicates  # (R, N), shared by the shell samples
         w_u, q_u, fa_u, rep_u = _bump_samples(psi, uniform.w, uniform.points, uniform.grad,
                                               np.arange(uniform.n) // shape[1])
         support_draws.append(len(w_u))
@@ -396,7 +396,7 @@ def testing_scan(
         for pi, p in enumerate(pts):
             shell = _Shell(p, region, uniform.n, 0.5 * eps_floor)
             shell_seed = _scan_seed(seed, 1000 + bi * len(pts) + pi)
-            make_unit, chunks, _ = _lattice_chunks(2, n, shell_seed, _SURFACE_REPS)
+            make_unit, chunks = _lattice_chunks(2, shape, shell_seed)
 
             def draw(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
                 w = shell.draw(make_unit(first, count)).reshape(-1, 2)
@@ -424,15 +424,14 @@ def testing_scan(
                 for kor, base, rep in strata:
                     terms = base * _profile(spec, kor / eps)
                     # the sample's sum is R * N times the mean of its lattice means
-                    est = _estimate_from_moments(*_merge_moments([_replicate_moments(terms, shape, rep)]),
-                                                 uniform.n)
+                    est = _masked_estimate(terms, rep, shape, uniform.n)
                     total += est.value
                     var += est.stderr**2
                 rows.append(TestingScanRow(
                     ball_center=tuple(float(c) for c in ball.center), ball_radius=ball.radius, eps=eps,
                     p=tuple(float(c) for c in p), op=complex(total[0]), op_stderr=math.sqrt(var[0]),
                     adj=complex(total[1]), adj_stderr=math.sqrt(var[1])))
-    return TestingScan(rows=rows, support_draws=support_draws, replicates=shape[0])
+    return TestingScan(rows=rows, support_draws=support_draws, replicates=replicates)
 
 
 def _bump_samples(psi: BumpSpec, w: np.ndarray, points: np.ndarray, grad: np.ndarray, rep: np.ndarray):
@@ -518,14 +517,12 @@ def divergence_check(
 
     region = region_for_ball(V.support)
     sample = surface_sample(g, region, cfg.n, cfg.child(1).seed)
-    size = sample.n // sample.replicates
     vals = V(sample.points)
     nz = np.flatnonzero(np.any(vals != 0.0, axis=-1))  # the flux vanishes off the field's support
     nu = _unit_normal(sample.grad[nz])
     flux = (vals[nz, 0] * nu.real + vals[nz, 1] * nu.imag) * sample.weights[nz]
     # the weights carry area / (R N), so R N times the mean lattice mean is the estimate
-    rhs = _estimate_from_moments(*_merge_moments([_replicate_moments(flux, (sample.replicates, size), nz // size)]),
-                                 sample.n)
+    rhs = _masked_estimate(flux, nz // sample.shape[1], sample.shape, sample.n)
 
     flagged = abs(rhs.value) < max(5.0 * rhs.stderr, 1e-12)
     c_hat = math.nan if flagged else lhs.value / rhs.value

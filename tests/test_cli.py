@@ -513,7 +513,7 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed, inside", [(0, 0), (5, 1)])
 def test_beta_scan_near_empty_ball_is_a_violated_invariant(tmp_path, capsys, seed, inside):
-    # one surface sample point: with seed 0 it misses the ball, with seed 2
+    # one surface sample point: with seed 0 it misses the ball, with seed 5
     # it is the only point in it; neither is a configuration error
     out = tmp_path / "beta.json"
     code = run_main([

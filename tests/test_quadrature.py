@@ -1,7 +1,5 @@
 import math
 import os
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -14,8 +12,9 @@ from heiskit.quadrature import (
     SampleConfig,
     _ball_chunks,
     _estimate_from_moments,
-    _korobov,
+    _KOROBOV,
     _lattice_chunks,
+    _lattice_shape,
     _map_chunks,
     _moments,
     _workers,
@@ -110,16 +109,29 @@ def p2_merit(size, a):
     return total / size - 1.0
 
 
+def p2_search(size):
+    """The multiplier of least P2 over every a < size, the smallest within 1e-12 of the minimum."""
+
+    def factor(z):
+        x = z % size / size
+        return 1.0 + 2.0 * math.pi**2 * (x * x - x + 1.0 / 6.0)
+
+    j = np.arange(size)
+    merits = np.concatenate([(factor(j) * factor(j * a) * factor(j * (a * a % size))).mean(axis=1)
+                             for a in np.array_split(np.arange(1, size)[:, None], max(1, size // 64))])
+    return 1 + int(np.flatnonzero(merits <= merits.min() * (1.0 + 1e-12))[0])
+
+
 def test_korobov_multiplier_minimises_p2():
-    # the full search, against a term-by-term sum over every multiplier;
+    # every tabled multiplier against the full search, and the vectorised
+    # search against a term-by-term sum over every multiplier for small N;
     # equivalent lattices tie up to rounding (22 and 26 at N = 144)
-    assert _korobov(1597) == 477
+    sizes = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
+    assert sorted(_KOROBOV) == [1] + sizes
+    assert {size: p2_search(size) for size in sizes} == {size: _KOROBOV[size] for size in sizes}
     for size in (8, 55, 144):
         merits = np.array([p2_merit(size, a) for a in range(1, size)])
-        assert _korobov(size) == 1 + int(np.flatnonzero(merits <= merits.min() * (1 + 1e-12))[0])
-    # and none is searched at import
-    code = "import heiskit.cli, heiskit.quadrature as q; assert q._korobov.cache_info().currsize == 0"
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": "src"})
+        assert p2_search(size) == 1 + int(np.flatnonzero(merits <= merits.min() * (1 + 1e-12))[0])
 
 
 @pytest.mark.parametrize(
@@ -131,11 +143,12 @@ def test_ball_lattices_are_shifted_folded_korobov_lattices(n, size, reps):
     # lattice {j (1, a, a^2) / N mod 1} shifted mod 1 by one of the two
     # shifts whose fold is its first point, no two sharing a shift, and
     # mapped to the ball in cylinder coordinates
-    make, chunks, shape = _lattice_chunks(3, n, 5, 32)
+    shape = _lattice_shape(3, n, 32)
+    make, chunks = _lattice_chunks(3, shape, 5)
     cube = np.concatenate([make(*chunk) for chunk in chunks], axis=1)
     assert shape == (reps, size) and cube.shape == (3, reps, size)
     assert len(np.unique(cube[:, :, 0], axis=1).T) == reps
-    a = _korobov(size)
+    a = _KOROBOV[size]
     j = np.arange(size)
     for got, z in zip(cube, (1, a, a * a % size)):
         base = j * z % size / size

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heiskit import core, domains, quadrature, riesz
-from heiskit.quadrature import SampleConfig, _estimate_from_moments, _lattice_chunks, _merge_moments, _replicate_moments
+from heiskit.quadrature import SampleConfig, _lattice_chunks, _lattice_shape, _masked_estimate
 from test_oscillation import bump_dt, bump_dt_sup
 
 RNG = np.random.default_rng(123)
@@ -419,7 +419,7 @@ def test_testing_scan_matches_dense_reference(case):
 
 def lattice_points(n, seed):
     """The unit-square points of a surface sample's lattices for (n, seed), as one (2, R, N) array."""
-    make, chunks, _ = _lattice_chunks(2, n, seed, domains._SURFACE_REPS)
+    make, chunks = _lattice_chunks(2, _lattice_shape(2, n, domains._SURFACE_REPS), seed)
     return np.concatenate([make(*chunk) for chunk in chunks], axis=1)
 
 
@@ -430,7 +430,6 @@ def test_shell_mixture_weights_are_exact():
     region = domains.Rect(-0.7, 0.9, -0.4, 0.5, slope=0.6)
     n = 50_000
     uniform = domains.surface_sample(domains.flat(0.0, 0.0), region, n, seed=21)
-    shape = (uniform.replicates, uniform.n // uniform.replicates)
     for j, p in enumerate([core.point(0.4, 0.3, 0.1), core.point(-1.0, 1.2, 0.8)]):
         shell = riesz._Shell(p, region, uniform.n, 0.01)
         drawn = shell.draw(lattice_points(n, 22 + j)).reshape(-1, 2)
@@ -438,8 +437,7 @@ def test_shell_mixture_weights_are_exact():
         for w in (uniform.w, drawn):
             keep = np.flatnonzero(region.contains_w(w))
             vals = 1.0 / shell.density(shell.nu(w[keep]))
-            est = _estimate_from_moments(*_merge_moments([_replicate_moments(vals, shape, keep // shape[1])]),
-                                         uniform.n)
+            est = _masked_estimate(vals, keep // uniform.shape[1], uniform.shape, uniform.n)
             total += est.value
             var += est.stderr**2
         assert abs(total - region.area) <= 4.0 * math.sqrt(var), (j, total, region.area, var)
