@@ -398,21 +398,18 @@ def testing_scan(
             shell_seed = _scan_seed(seed, 1000 + bi * len(pts) + pi)
             make_unit, chunks = _lattice_chunks(2, shape, shell_seed)
 
-            def draw(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+            def terms(first: int, count: int) -> tuple[np.ndarray, ...]:
+                # one step from lattices to kernel terms, so no full-size draw outlives its filter
                 w = shell.draw(make_unit(first, count)).reshape(-1, 2)
-                return w, np.repeat(np.arange(first, first + count), shape[1])
-
-            def push(job: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, ...]:
-                w, rep = job
-                inside = region.contains_w(w)
-                w, rep = w[inside], rep[inside]
+                inside = np.flatnonzero(region.contains_w(w))
+                w, rep = w[inside], first + inside // shape[1]
                 w, q, fa, rep = _bump_samples(psi, w, graph_map(g, w), intrinsic_gradient(g, w), rep)
                 return _kernel_terms(p, q, fa / shell.density(shell.nu(w)), eps_floor, rep)
 
             # each sample as (koranyi norm, (K, Kstar) times f * weight, lattice) of its kept draws
             strata = [
                 _kernel_terms(p, q_u, fa_u / shell.density(shell.nu(w_u)), eps_floor, rep_u),
-                tuple(np.concatenate(part, axis=-1) for part in zip(*_map_chunks(draw, chunks, push))),
+                tuple(np.concatenate(part, axis=-1) for part in zip(*_map_chunks(terms, chunks, lambda t: t))),
             ]
             for eps in eps_grid:
                 density = float(shell.density(2.0 * eps))
