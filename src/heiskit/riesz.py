@@ -363,10 +363,10 @@ def testing_scan(
     the R shifted, folded lattices of N points of a surface sample (see
     domains.surface_sample): a uniform sample of Rg, shared by every point,
     and p's shell sample (see _Shell), drawn through the chunk map on
-    lattices of the same shape.  Each draw w of either
-    sample is weighted by the balance heuristic, area factor / (m / |Rg| +
-    m h_p(w)): the uniform half covers Rg, so the sum is unbiased, and near
-    p the -3-homogeneous kernel times the weight stays bounded.  The shell
+    lattices of the same shape.  Each draw w of either sample is weighted
+    by the balance heuristic, area factor / (m / |Rg| + m h_p(w)): the
+    uniform half covers Rg, so the sum is unbiased, and near p the
+    -3-homogeneous kernel times the weight stays bounded.  The shell
     starts at half the radius below which every cutoff vanishes.  Only draws
     where f and some cutoff are not 0 reach the kernel (shell draws off Rg
     are dropped before they are pushed to the graph); each kept draw keeps
