@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, beta, core, domains, oscillation, riesz
-from .quadrature import NonFiniteIntegrandError, SampleConfig, _moments
+from .quadrature import NonFiniteIntegrandError, SampleConfig
 
 __all__ = [
     "ConfigError",
@@ -224,7 +224,7 @@ def _line_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
     slope, icept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + icept)
     ss_res = float(np.sum(resid**2))
-    ss_tot = float(_moments(ys)[1])
+    ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     return float(slope), r2
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import core
 from .core import Ball, as_points, dist, embed_vertical, inv, mul, proj_vertical
-from .quadrature import SampleConfig, _lattice_chunks, _lattice_shape, _map_chunks
+from .quadrature import SampleConfig, _lattice_map, _lattice_shape
 
 __all__ = [
     "DomainOracle",
@@ -272,32 +272,29 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
     """Seeded uniform sample of the region, pushed to the graph with area weights.
 
     The parameters are R >= _SURFACE_REPS shifted, folded Fibonacci lattices
-    of N points each, R * N <= n (see quadrature._lattice_chunks), mapped
-    affinely onto the parallelogram; a sum over the sample estimates the
-    surface integral, and the spread of the R lattice sums gives its
-    stderr.  Chunks of whole lattices keyed by (seed, chunk) keep the
-    result byte-identical regardless of how the chunks are scheduled.  The
-    gradient behind each weight is kept, so the unit normal never needs it
-    computed again.
+    of N points each, R * N <= n (see quadrature._lattice_map), mapped
+    affinely onto the parallelogram and pushed to the graph chunk by chunk;
+    a sum over the sample estimates the surface integral, and the spread of
+    the R lattice sums gives its stderr.  Chunks of whole lattices keyed by
+    (seed, chunk) keep the result byte-identical regardless of how the
+    chunks are scheduled.  The gradient behind each weight is kept, so the
+    unit normal never needs it computed again.
     """
     SampleConfig(n, seed)  # the same checks of n and seed
     reps, size = shape = _lattice_shape(2, n, _SURFACE_REPS)
-    make_unit, chunks = _lattice_chunks(2, shape, seed)
 
-    def draw(first: int, count: int) -> np.ndarray:
-        y, t = make_unit(first, count).reshape(2, -1)
+    def push(u: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
+        y, t = u.reshape(2, -1)
         y *= region.y1 - region.y0
         y += region.y0
         t *= region.t1 - region.t0
         t += region.t0
         t += region.shear(y)
-        return np.stack((y, t), axis=-1)
-
-    def push(w: np.ndarray) -> tuple[np.ndarray, ...]:
+        w = np.stack((y, t), axis=-1)
         grad = intrinsic_gradient(g, w)
         return w, graph_map(g, w), _area_factor(grad) * (region.area / (reps * size)), grad
 
-    w, points, weights, grad = (np.concatenate(part) for part in zip(*_map_chunks(draw, chunks, push)))
+    w, points, weights, grad = (np.concatenate(part) for part in zip(*_lattice_map(2, shape, seed, push)))
     return WeightedSample(w=w, points=points, weights=weights, region=region, seed=seed, grad=grad,
                           replicates=reps)
 

@@ -39,8 +39,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import Ball, as_points
-from .quadrature import Estimate, SampleConfig, _ball_chunks, _disc_chunks, _estimate_from_moments
-from .quadrature import _map_chunks, _merge_moments, _replicate_moments
+from .quadrature import _BALL_REPS, Estimate, SampleConfig, _ball_points, _disc_points, _lattice_estimate
+from .quadrature import _lattice_map, _lattice_shape
 
 __all__ = [
     "ScaleGrid",
@@ -125,23 +125,19 @@ def _gaps(omega, ball: Ball, pts: np.ndarray, mids) -> Iterator[np.ndarray]:
 
 def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     """v(ball)(s) at every node s and, last, their average over the nodes,
-    as arrays of correlated estimates from one pass over one ball sample of
-    shifted lattices; a domain with a crossing draws only the sample's
-    (x, y).  Each chunk's leading axis holds its lattices, and the moments
-    are those of one mean per lattice.  The gaps lie in [0, 1], so the
-    means are taken about 0."""
-    sample = _ball_chunks if getattr(omega, "crossing", None) is None else _disc_chunks
+    as arrays of correlated estimates from one pass of the lattice map over
+    one ball sample; a domain with a crossing draws only the sample's (x, y)
+    from 2-D lattices.  Each chunk reduces the gaps at each node to one mean
+    per lattice, and the average's lattice means are the mean of the nodes'.
+    The gaps lie in [0, 1], so the means are taken about 0."""
+    d, points = (3, _ball_points) if getattr(omega, "crossing", None) is None else (2, _disc_points)
 
-    def moments(pts):
-        shape = pts.shape[:2]
-        parts, total = [], 0
-        for d in _gaps(omega, ball, pts, nodes):
-            parts.append(_replicate_moments(d.ravel(), shape))
-            total += d
-        means, m2s, reps, _ = zip(*parts, _replicate_moments((total / len(nodes)).ravel(), shape))
-        return np.array(means), np.array(m2s), reps[0], 0.0
+    def means(u: np.ndarray, first: int) -> np.ndarray:
+        rows = [gap.mean(axis=-1) for gap in _gaps(omega, ball, points(u, ball), nodes)]
+        return np.array(rows + [np.mean(rows, axis=0)])
 
-    return _estimate_from_moments(*_merge_moments(_map_chunks(*sample(ball, cfg), moments)), ball.volume)
+    parts = _lattice_map(d, _lattice_shape(d, cfg.n, _BALL_REPS), cfg.seed, means)
+    return _lattice_estimate(np.concatenate(parts, axis=-1), ball.volume)
 
 
 def vertical_perimeter(omega, window: Ball, s: float, cfg: SampleConfig) -> Estimate:
@@ -197,7 +193,6 @@ class LpPerimeter:
 
     value: float
     stderr: float
-    n: int
     tail_bound: float
     scales: np.ndarray
     v_values: np.ndarray
@@ -227,7 +222,6 @@ def lp_vertical_perimeter(
     return LpPerimeter(
         value=value,
         stderr=stderr,
-        n=int(cfg.n) * len(scales),
         tail_bound=tail,
         scales=scales,
         v_values=vals,

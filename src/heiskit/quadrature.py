@@ -2,22 +2,22 @@
 
 Determinism contract: every estimate is a pure function of (region, integrand,
 SampleConfig).  Every uniform draw of the package comes from one lattice
-engine, _lattice_chunks: R >= 32 rank-1 lattices of N points in the unit
-square or cube (R >= 256 on surfaces), each moved by its own random shift and folded by the
-baker's map (Cranley and Patterson 1976; Hickernell 2002).  Chunks pack
-whole lattices, chunk i drawing its shifts from a stream seeded by
-(seed, i), and partial results are reduced in chunk order.  Running chunks
-in parallel therefore reproduces the serial result bit for bit; the worker
-count comes from the HEISKIT_WORKERS environment variable (default 1).  One
-chunk map owns that thread pool; it runs integrate_ball, the gap pass of
-oscillation, domains.surface_sample and the shell samples of
+map, _lattice_map: R >= 32 rank-1 lattices of N points in the unit square
+or cube (R >= 256 on surfaces), each moved by its own random shift and
+folded by the baker's map (Cranley and Patterson 1976; Hickernell 2002).
+Chunks pack whole lattices, chunk i drawing its shifts from a stream
+seeded by (seed, i), and the caller's function of each chunk is returned
+in chunk order.  Running chunks in parallel therefore reproduces the serial
+result bit for bit; the worker count comes from the HEISKIT_WORKERS
+environment variable (default 1).  The lattice map runs integrate_ball, the
+gap pass of oscillation, domains.surface_sample and the shell samples of
 riesz.testing_scan.  The metric ball is the one volume sampler, mapped from
-3-D lattices in cylinder coordinates; where the gap pass reads only (x, y)
-it maps 2-D lattices onto the ball's disc alone.  An estimate is the mean
-of the R lattice means, and its stderr is their spread.  Every mean and
-stderr in the package comes from one replicate accumulator:
-_replicate_moments and _merge_moments, or _masked_estimate where only
-some draws are kept.
+3-D lattices in cylinder coordinates (_ball_points); where the gap pass
+reads only (x, y) it maps 2-D lattices onto the ball's disc alone
+(_disc_points).  Each chunk reduces its draws to one mean per lattice, and
+one function, _lattice_estimate, turns the R lattice means into every
+estimate of the package: their mean, with their spread as its stderr
+(_masked_estimate forms the means where only some draws are kept).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -102,11 +102,12 @@ class Estimate:
     """A numerical integral with its statistical error.
 
     n counts the independent replicates behind the estimate, the shifted
-    lattices (of single points when few are drawn).  stderr is the
-    sample standard deviation of the replicate means divided by sqrt(n),
-    times the volume normalisation.  value and stderr may also be
-    arrays of per-component estimates sharing one n, as in the profile
-    that oscillation.perimeter_profile returns.
+    lattices (of single points when few are drawn).  value is the mean of
+    the n lattice means and stderr their sample standard deviation divided
+    by sqrt(n), both times the volume normalisation (see
+    _lattice_estimate).  value and stderr may also be arrays of
+    per-component estimates sharing one n, as in the profile that
+    oscillation.perimeter_profile returns.
     """
 
     value: float
@@ -124,10 +125,6 @@ def _workers() -> int:
     if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"HEISKIT_WORKERS must be a positive integer, got {raw!r}")
     return int(raw)
-
-
-# (make_chunk, chunks): make_chunk(first, count) builds the nodes of one chunk
-_Chunks = tuple[Callable[[int, int], np.ndarray], list[tuple[int, int]]]
 
 
 def _disc(u: np.ndarray, radius: float) -> None:
@@ -166,19 +163,20 @@ def _lattice_shape(d: int, n: int, reps: int) -> tuple[int, int]:
     return n // size, size
 
 
-def _lattice_chunks(d: int, shape: tuple[int, int], seed: int) -> _Chunks:
-    """(make_chunk, chunks) of R randomly shifted, folded rank-1 lattices of
-    N points in the unit cube [0, 1]^d, shape = (R, N) of _lattice_shape.
+def _lattice_map(d: int, shape: tuple[int, int], seed: int, fn: Callable[[np.ndarray, int], object]) -> list:
+    """fn(u, first) for every chunk of R randomly shifted, folded rank-1
+    lattices of N points in the unit cube [0, 1]^d, shape = (R, N) of
+    _lattice_shape, in chunk order.
 
     The base lattice is {j z / N mod 1 : j < N}: the Fibonacci lattice
     z = (1, F_(k-1)) for d = 2, the Korobov lattice z = (1, a, a^2 mod N)
     of _KOROBOV for d = 3.  Each lattice is shifted mod 1 by its own
     uniform draw and folded by the baker's map u -> 1 - |2u - 1|, which
     keeps every point uniform (Cranley and Patterson 1976; Hickernell
-    2002).  chunks are (first lattice, count) pairs, CHUNK // N lattices to
-    a chunk; make_chunk(first, count) returns their (d, count, N)
-    coordinates, the shifts drawn from (seed, chunk), so the bits do not
-    depend on the worker count.
+    2002).  A chunk packs CHUNK // N whole lattices: u holds their
+    (d, count, N) coordinates and first is the index of its first lattice.
+    Its shifts are drawn from (seed, chunk), and the chunks run on a pool of
+    HEISKIT_WORKERS threads, so the list does not depend on the worker count.
     """
     reps, size = shape
     if d == 2:
@@ -190,145 +188,93 @@ def _lattice_chunks(d: int, shape: tuple[int, int], seed: int) -> _Chunks:
     lattice = np.stack([j * z % size for z in gens])[:, None, :] / size
     per = CHUNK // size
 
-    def make(first: int, count: int) -> np.ndarray:
-        u = lattice + np.random.default_rng([seed, first // per]).random((d, count, 1))
+    def one(first: int):
+        u = lattice + np.random.default_rng([seed, first // per]).random((d, min(per, reps - first), 1))
         # the fold of u mod 1 is twice the distance from u to the nearest
         # integer, which skips the costly float modulo
         u -= np.rint(u)
         np.abs(u, out=u)
         u *= 2.0
-        return u
+        return fn(u, first)
 
-    return make, [(first, min(per, reps - first)) for first in range(0, reps, per)]
-
-
-def _map_chunks(make_chunk: Callable[[int, int], object], chunks: list[tuple[int, int]], fn: Callable) -> list:
-    """fn(make_chunk(*chunk)) for every chunk, in chunk order.
-
-    The chunks run on a pool of HEISKIT_WORKERS threads; each result depends
-    on its own chunk only, so the list is the same for every worker count.
-    """
-
-    def one(job: tuple[int, int]):
-        return fn(make_chunk(*job))
-
+    firsts = range(0, reps, per)
     workers = _workers()
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1 and len(firsts) > 1:
         with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, chunks))
-    return [one(c) for c in chunks]
+            return list(pool.map(one, firsts))
+    return [one(first) for first in firsts]
 
 
-def _ball_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
-    """(make_chunk, chunks) of uniform points of the ball, as (lattices, N, 3)
-    arrays of _BALL_REPS or more 3-D lattices (see _lattice_chunks) in
-    cylinder coordinates.
+def _ball_points(u: np.ndarray, ball: Ball) -> np.ndarray:
+    """The (count, N, 3) uniform points of the ball that a (3, count, N)
+    chunk of _lattice_map maps to, in cylinder coordinates; u is reused.
 
     The ball B(0, r) is the cylinder {|z| <= r} x {|t| <= r^2/4}: the first
     two coordinates map to the disc (see _disc) and the third to t.  Left
     translations have unit Jacobian, so translating a uniform sample of
     B(0, r) by the center yields a uniform sample of B(center, r).
     """
-    make_unit, chunks = _lattice_chunks(3, _lattice_shape(3, cfg.n, _BALL_REPS), cfg.seed)
-
-    def make(first: int, count: int) -> np.ndarray:
-        u = make_unit(first, count)
-        _disc(u, ball.radius)
-        u[2] -= 0.5
-        u[2] *= 0.5 * ball.radius**2
-        return mul(ball.center, np.moveaxis(u, 0, -1))
-
-    return make, chunks
+    _disc(u, ball.radius)
+    u[2] -= 0.5
+    u[2] *= 0.5 * ball.radius**2
+    return mul(ball.center, np.moveaxis(u, 0, -1))
 
 
-def _disc_chunks(ball: Ball, cfg: SampleConfig) -> _Chunks:
-    """(make_chunk, chunks) of points uniform on the ball's disc, as
-    (lattices, N, 2) arrays of _BALL_REPS or more 2-D lattices (see
-    _lattice_chunks).
+def _disc_points(u: np.ndarray, ball: Ball) -> np.ndarray:
+    """The (count, N, 2) points uniform on the ball's disc that a (2, count, N)
+    chunk of _lattice_map maps to (see _disc); u is reused.
 
-    Mapped by _disc, the R * N <= n points are (x, y) of uniform points of
-    the ball, since a left translation moves (x, y) by the center's (x, y).
+    They are the (x, y) of uniform points of the ball, since a left
+    translation moves (x, y) by the center's (x, y).
     """
-    make_unit, chunks = _lattice_chunks(2, _lattice_shape(2, cfg.n, _BALL_REPS), cfg.seed)
-
-    def make(first: int, count: int) -> np.ndarray:
-        u = make_unit(first, count)
-        _disc(u, ball.radius)
-        u[0] += ball.center[0]
-        u[1] += ball.center[1]
-        return np.moveaxis(u, 0, -1)
-
-    return make, chunks
+    _disc(u, ball.radius)
+    u[0] += ball.center[0]
+    u[1] += ball.center[1]
+    return np.moveaxis(u, 0, -1)
 
 
-def _moments(vals: np.ndarray, n: Optional[int] = None) -> tuple:
-    """(mean, M2, n) of the values along the last axis of vals.
+def _moments(vals: np.ndarray) -> tuple:
+    """(mean, M2, n) of the n values along the last axis of vals.
 
     M2 is the sum of squared deviations |v - mean|^2, so vals may be real or
-    complex; a leading axis of components gets one mean and one M2 each.  A
-    total count n >= vals.shape[-1] adds n - vals.shape[-1] values that are
-    exactly zero, without forming them.
+    complex; a leading axis of components gets one mean and one M2 each.
     """
-    zeros = 0 if n is None else n - vals.shape[-1]
-    n = vals.shape[-1] + zeros
+    n = vals.shape[-1]
     mean = vals.sum(axis=-1) / n
     dev = vals - np.expand_dims(mean, -1)
     if np.iscomplexobj(dev):
         dev = dev.view(float)  # interleaved real and imaginary parts
     dev *= dev
-    return mean, dev.sum(axis=-1) + zeros * (mean.real**2 + mean.imag**2), n
+    return mean, dev.sum(axis=-1), n
 
 
-def _replicate_moments(vals: np.ndarray, shape: tuple[int, int], ref: float = 0.0) -> tuple:
-    """(mean, M2, R, ref): the moments about ref of the means of R replicates of N draws, shape = (R, N).
+def _lattice_estimate(means: np.ndarray, scale: float, ref: float = 0.0) -> Estimate:
+    """scale times ref plus the mean of the R lattice means along the last
+    axis of means, taken about ref, with the stderr of their spread.
 
-    The last axis of vals holds every draw, replicate by replicate.  Taking
-    the means about a value of the draws, such as the first, keeps their
-    rounding at the scale of the spread rather than of the values, so
-    adding a constant to vals does not move M2.  vals may be real or
-    complex and a leading axis of components gets one mean and one M2
-    each, as in _moments; _merge_moments takes the tuples of several chunks.
+    Taking the means about a value of the draws, such as the first, keeps
+    their rounding at the scale of the spread rather than of the values, so
+    adding a constant to the integrand does not move the stderr.  means may
+    be real or complex with a leading axis of components (see _moments);
+    one lattice has stderr 0.
     """
-    return (*_moments((vals - ref).reshape(vals.shape[:-1] + shape).mean(axis=-1)), ref)
+    mean, m2, reps = _moments(means)
+    return Estimate(scale * (ref + mean), scale * np.sqrt(m2 / max(reps - 1, 1) / reps), reps)
 
 
 def _masked_estimate(vals: np.ndarray, rep: np.ndarray, shape: tuple[int, int], scale: float) -> Estimate:
-    """scale times the mean of R replicate means of N draws, shape = (R, N),
+    """scale times the mean of R lattice means of N draws, shape = (R, N),
     with the stderr of their spread, from the kept draws alone.
 
     The last axis of vals holds the kept draws in draw order and rep the
-    replicate of each, so rep does not decrease; every other draw counts as
-    a zero of its replicate.
+    lattice of each, so rep does not decrease; every other draw counts as
+    a zero of its lattice.
     """
     reps, size = shape
     means = np.zeros(vals.shape[:-1] + (reps,), dtype=vals.dtype)
-    starts = np.flatnonzero(np.diff(rep, prepend=-1))  # the first kept draw of each replicate
+    starts = np.flatnonzero(np.diff(rep, prepend=-1))  # the first kept draw of each lattice
     means[..., rep[starts]] = np.add.reduceat(vals, starts, axis=-1) / size
-    return _estimate_from_moments(*_moments(means), scale)
-
-
-def _merge_moments(parts: list[tuple]) -> tuple:
-    """Merge the (mean, M2, n, ref) of _replicate_moments, in list order, into one (mean, M2, n).
-
-    The pairwise update of Chan, Golub and LeVeque does not cancel when the
-    mean is large against the spread.  It works about the first part's
-    reference, so ref_i - ref_0, the difference of two values of one
-    integrand, is the only term that sees their magnitude.  Means and M2
-    may be arrays of per-component moments sharing one n.
-    """
-    mean, m2, n, ref = parts[0]
-    for pmean, pm2, pn, pref in parts[1:]:
-        delta = (pmean - mean) + (pref - ref)
-        total = n + pn
-        mean = mean + delta * pn / total
-        m2 = m2 + pm2 + delta * delta * n * pn / total
-        n = total
-    return ref + mean, m2, n
-
-
-def _estimate_from_moments(mean, m2, n: int, volume: float) -> Estimate:
-    """volume * mean with stderr volume * sqrt(M2 / (n - 1) / n); one value has M2 = 0."""
-    return Estimate(volume * mean, volume * np.sqrt(m2 / max(n - 1, 1) / n), n)
+    return _lattice_estimate(means, scale)
 
 
 def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: SampleConfig) -> Estimate:
@@ -341,14 +287,17 @@ def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: Sampl
     integrand values abort with the offending point.
     """
 
-    def moments(pts: np.ndarray) -> tuple:
-        flat = pts.reshape(-1, 3)
+    def means(u: np.ndarray, first: int) -> tuple:
+        flat = _ball_points(u, ball).reshape(-1, 3)
         vals = np.asarray(f(flat), dtype=float)
         if vals.shape != (len(flat),):
             raise ValueError("integrand must map (m, 3) points to (m,) values")
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NonFiniteIntegrandError(flat[bad], float(vals[bad]))
-        return _replicate_moments(vals, pts.shape[:2], ref=vals[0])
+        return vals[0], (vals - vals[0]).reshape(u.shape[1:]).mean(axis=-1)
 
-    return _estimate_from_moments(*_merge_moments(_map_chunks(*_ball_chunks(ball, cfg), moments)), ball.volume)
+    # each chunk's lattice means about its first value, moved to the first chunk's
+    parts = _lattice_map(3, _lattice_shape(3, cfg.n, _BALL_REPS), cfg.seed, means)
+    ref = parts[0][0]
+    return _lattice_estimate(np.concatenate([m + (r - ref) for r, m in parts]), ball.volume, ref)

@@ -29,7 +29,7 @@ import numpy as np
 from .core import Ball, as_points, dilate, inv, koranyi_norm, mul, point, proj_vertical
 from .domains import (IntrinsicGraph, Rect, _unit_normal, graph_map, intrinsic_gradient,
                       region_for_ball, surface_sample)
-from .quadrature import Estimate, SampleConfig, _lattice_chunks, _map_chunks, _masked_estimate, integrate_ball
+from .quadrature import Estimate, SampleConfig, _lattice_map, _masked_estimate, integrate_ball
 
 __all__ = [
     "KERNEL_DEGREES",
@@ -362,7 +362,7 @@ def testing_scan(
     is a defensive mixture of two samples of m = R * N <= n draws, each
     the R shifted, folded lattices of N points of a surface sample (see
     domains.surface_sample): a uniform sample of Rg, shared by every point,
-    and p's shell sample (see _Shell), drawn through the chunk map on
+    and p's shell sample (see _Shell), drawn through the lattice map on
     lattices of the same shape.  Each draw w of either sample is weighted
     by the balance heuristic, area factor / (m / |Rg| + m h_p(w)): the
     uniform half covers Rg, so the sum is unbiased, and near p the
@@ -396,11 +396,10 @@ def testing_scan(
         for pi, p in enumerate(pts):
             shell = _Shell(p, region, uniform.n, 0.5 * eps_floor)
             shell_seed = _scan_seed(seed, 1000 + bi * len(pts) + pi)
-            make_unit, chunks = _lattice_chunks(2, shape, shell_seed)
 
-            def terms(first: int, count: int) -> tuple[np.ndarray, ...]:
+            def terms(u: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
                 # one step from lattices to kernel terms, so no full-size draw outlives its filter
-                w = shell.draw(make_unit(first, count)).reshape(-1, 2)
+                w = shell.draw(u).reshape(-1, 2)
                 inside = np.flatnonzero(region.contains_w(w))
                 w, rep = w[inside], first + inside // shape[1]
                 w, q, fa, rep = _bump_samples(psi, w, graph_map(g, w), intrinsic_gradient(g, w), rep)
@@ -409,7 +408,7 @@ def testing_scan(
             # each sample as (koranyi norm, (K, Kstar) times f * weight, lattice) of its kept draws
             strata = [
                 _kernel_terms(p, q_u, fa_u / shell.density(shell.nu(w_u)), eps_floor, rep_u),
-                tuple(np.concatenate(part, axis=-1) for part in zip(*_map_chunks(terms, chunks, lambda t: t))),
+                tuple(np.concatenate(part, axis=-1) for part in zip(*_lattice_map(2, shape, shell_seed, terms))),
             ]
             for eps in eps_grid:
                 density = float(shell.density(2.0 * eps))

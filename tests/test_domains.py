@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heiskit import core, domains
-from heiskit.quadrature import _estimate_from_moments, _moments
+from heiskit.quadrature import _masked_estimate
 
 
 def normal(g, w):
@@ -21,8 +21,9 @@ def density_ratios(g, p, radii, n, seed):
     d = core.dist(sample.points, p)
     out = []
     for r in radii:
-        # the weight sum is n times the mean weight, samples off the ball counting as zeros
-        est = _estimate_from_moments(*_moments(sample.weights[d <= r], sample.n), sample.n)
+        # the weight sum is R N times the mean lattice mean, draws off the ball counting as zeros
+        keep = np.flatnonzero(d <= r)
+        est = _masked_estimate(sample.weights[keep], keep // sample.shape[1], sample.shape, sample.n)
         out.append((r, float(est.value) / r**3, float(est.stderr) / r**3))
     return out
 
@@ -269,9 +270,12 @@ def test_regularity_stderr_matches_one_pass():
     rows = density_ratios(g, p, [0.25, 1.0], n=50_000, seed=4)
     sample = domains.surface_sample(g, domains.region_for_ball(core.Ball(p, 1.0)), 50_000, 4)
     d = core.dist(sample.points, p)
-    for r, _, se in rows:
-        inside = sample.weights * (d <= r)
-        assert se == pytest.approx(math.sqrt(np.var(inside, ddof=1) * len(d)) / r**3, rel=1e-12)
+    for r, ratio, se in rows:
+        # R times the mean and the stderr of the R explicit lattice sums
+        sums = (sample.weights * (d <= r)).reshape(sample.shape).sum(axis=1)
+        reps = len(sums)
+        assert ratio == pytest.approx(reps * sums.mean() / r**3, rel=1e-12)
+        assert se == pytest.approx(reps * np.std(sums, ddof=1) / math.sqrt(reps) / r**3, rel=1e-12)
 
 
 def test_regularity_doubling():

@@ -14,7 +14,8 @@ from heiskit.oscillation import (
     perimeter_profile,
     vertical_perimeter,
 )
-from heiskit.quadrature import Estimate, SampleConfig, _ball_chunks, _disc_chunks, _map_chunks, integrate_ball
+from heiskit.quadrature import _BALL_REPS, Estimate, SampleConfig, _ball_points, _disc_points, _lattice_map
+from heiskit.quadrature import _lattice_shape, integrate_ball
 
 BALL = core.Ball(core.point(0, 0, 0), 1.0)
 SLAB = domains.slab(0.0)
@@ -217,14 +218,21 @@ def test_one_coefficient_per_ball_and_config():
         assert slab.stderr == 0.0
 
 
+def _ball_lattices(ball, d, points, cfg):
+    """A ball sample of the gap pass, as one (R, N, d) array of lattices:
+    the sampled path's points (d = 3) or the fibre pass's (x, y) (d = 2)."""
+    shape = _lattice_shape(d, cfg.n, _BALL_REPS)
+    return np.concatenate(_lattice_map(d, shape, cfg.seed, lambda u, first: points(u, ball)))
+
+
 def test_perimeter_profile_moments_match_one_pass():
-    # three uneven chunks of 3-D lattices merged in order, against the mean
+    # three uneven chunks of 3-D lattices, joined in order, against the mean
     # and spread of the R = 93 lattice means of the gaps at the same nodes
     dom = sampled(domains.vertical_holder(1.0, 0.5))
     cfg = SampleConfig(n=150_000, seed=5)
     mids, prof, _ = perimeter_profile(dom, BALL, cfg)
     vals, errs = prof.value, prof.stderr
-    pts = np.concatenate(_map_chunks(*_ball_chunks(BALL, cfg), lambda p: p))
+    pts = _ball_lattices(BALL, 3, _ball_points, cfg)
     assert pts.shape == (prof.n, 1597, 3) and prof.n == 93
     base = dom.indicator(pts)
     scale = BALL.volume / BALL.radius**4
@@ -233,11 +241,6 @@ def test_perimeter_profile_moments_match_one_pass():
         assert v == pytest.approx(scale * means.mean(), rel=1e-12)
         assert e == pytest.approx(scale * np.std(means, ddof=1) / math.sqrt(len(means)), rel=1e-12)
         assert v > 0.0
-
-
-def _disc_lattices(ball, cfg):
-    """The fibre pass's (x, y) sample, as one (R, N, 2) array of lattices."""
-    return np.concatenate(_map_chunks(*_disc_chunks(ball, cfg), lambda p: p))
 
 
 @pytest.mark.parametrize(
@@ -250,7 +253,7 @@ def test_disc_lattices_are_shifted_folded_fibonacci_lattices(n, size, reps):
     # shifted mod 1 by one of the two shifts whose fold is its first point,
     # and no two share a shift (each chunk draws its own shifts)
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
-    lattices = _disc_lattices(ball, SampleConfig(n=n, seed=5))
+    lattices = _ball_lattices(ball, 2, _disc_points, SampleConfig(n=n, seed=5))
     assert lattices.shape == (reps, size, 2)
     assert len(np.unique(lattices[:, 0], axis=0)) == reps
     dx, dy = lattices[..., 0] - ball.center[0], lattices[..., 1] - ball.center[1]
@@ -280,7 +283,7 @@ def test_fibre_profile_moments_match_one_pass():
     ball = core.Ball(core.point(0.2, -0.1, 0.05), 0.7)
     cfg = SampleConfig(n=150_000, seed=5)
     mids, prof, est = perimeter_profile(dom, ball, cfg)
-    lattices = _disc_lattices(ball, cfg)
+    lattices = _ball_lattices(ball, 2, _disc_points, cfg)
     scale = ball.volume / ball.radius**4
     fractions = list(_gaps(dom, ball, lattices, mids))
     per_lattice = [d.mean(axis=1) for d in fractions]

@@ -10,12 +10,13 @@ from heiskit.quadrature import (
     Estimate,
     NonFiniteIntegrandError,
     SampleConfig,
-    _ball_chunks,
-    _estimate_from_moments,
+    _BALL_REPS,
     _KOROBOV,
-    _lattice_chunks,
+    _ball_points,
+    _lattice_estimate,
+    _lattice_map,
     _lattice_shape,
-    _map_chunks,
+    _masked_estimate,
     _moments,
     _workers,
     integrate_ball,
@@ -27,7 +28,8 @@ CFG = SampleConfig(n=200_000, seed=11)
 
 def collect(ball, cfg):
     """The ball's nodes, lattice after lattice, as one (R * N, 3) array."""
-    return np.concatenate(_map_chunks(*_ball_chunks(ball, cfg), lambda pts: pts)).reshape(-1, 3)
+    chunks = _lattice_map(3, _lattice_shape(3, cfg.n, _BALL_REPS), cfg.seed, lambda u, first: _ball_points(u, ball))
+    return np.concatenate(chunks).reshape(-1, 3)
 
 
 def test_sample_config_validation():
@@ -142,10 +144,12 @@ def test_ball_lattices_are_shifted_folded_korobov_lattices(n, size, reps):
     # n // 32 and 1,597; each is the fold u -> 1 - |2u - 1| of the base
     # lattice {j (1, a, a^2) / N mod 1} shifted mod 1 by one of the two
     # shifts whose fold is its first point, no two sharing a shift, and
-    # mapped to the ball in cylinder coordinates
+    # mapped to the ball in cylinder coordinates; the chunks come in order,
+    # each with the index of its first lattice
     shape = _lattice_shape(3, n, 32)
-    make, chunks = _lattice_chunks(3, shape, 5)
-    cube = np.concatenate([make(*chunk) for chunk in chunks], axis=1)
+    chunks = _lattice_map(3, shape, 5, lambda u, first: (first, u))
+    assert [first for first, _ in chunks] == list(range(0, reps, chunks[0][1].shape[1]))
+    cube = np.concatenate([u for _, u in chunks], axis=1)
     assert shape == (reps, size) and cube.shape == (3, reps, size)
     assert len(np.unique(cube[:, :, 0], axis=1).T) == reps
     a = _KOROBOV[size]
@@ -157,7 +161,7 @@ def test_ball_lattices_are_shifted_folded_korobov_lattices(n, size, reps):
                   for shift in (first / 2, 1.0 - first / 2)]
         assert np.minimum(*misses).max() <= 1e-12
     ball = core.Ball(core.point(0.4, -0.7, 0.3), 1.3)
-    pts = np.concatenate(_map_chunks(*_ball_chunks(ball, SampleConfig(n=n, seed=5)), lambda p: p))
+    pts = collect(ball, SampleConfig(n=n, seed=5)).reshape(reps, size, 3)
     m = core.mul(core.inv(ball.center), pts)
     rad, ang = np.hypot(m[..., 0], m[..., 1]), np.arctan2(m[..., 1], m[..., 0]) / (2.0 * math.pi)
     np.testing.assert_allclose(rad, ball.radius * np.sqrt(cube[0]), rtol=1e-12, atol=1e-12)
@@ -200,8 +204,9 @@ def test_parallel_execution_bitwise_identical():
 def test_stderr_unchanged_by_large_offset():
     # a constant does not change the variance; rounding f + 1e8 moves each
     # value by at most half an ulp of 1e8, and 16 ulp covers the reduction.
-    # Four chunks of lattices, the last one short, merged, match the mean
-    # and spread of the R = 130 lattice means of one pass.
+    # Four chunks of lattices, the last one short, joined about the first
+    # chunk's first value, match the mean and spread of the R = 130 lattice
+    # means of one pass.
     ball = core.Ball(core.point(0.3, -0.2, 0.1), 0.5)
     cfg = SampleConfig(n=130 * 1597 + 1000, seed=0)
     f = lambda p: p[:, 0] ** 2 + p[:, 2]
@@ -237,32 +242,27 @@ def test_estimate_validation():
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "components"])
-def test_moments_with_implicit_zeros(kind):
-    # m values and n - m zeros left out match the zero-padded array
+def test_moments_match_textbook(kind):
+    # the mean and the sum of squared deviations |v - mean|^2, per component
     rng = np.random.default_rng(3)
-    m, n = 1000, 4096
-    shape = (3, m) if kind == "components" else (m,)
+    shape = (3, 1000) if kind == "components" else (1000,)
     vals = 5.0 + rng.standard_normal(shape)
     if kind != "real":
         vals = vals + 1j * (rng.standard_normal(shape) - 2.0)
-    padded = np.concatenate((vals, np.zeros(shape[:-1] + (n - m,), dtype=vals.dtype)), axis=-1)
-    mean, m2, count = _moments(vals, n)
-    ref_mean, ref_m2, ref_count = _moments(padded)
-    assert count == ref_count == n
-    np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
-    np.testing.assert_allclose(m2, ref_m2, rtol=1e-12)
-    # and the padded moments are the textbook ones
-    np.testing.assert_allclose(ref_mean, padded.mean(axis=-1), rtol=1e-12)
-    np.testing.assert_allclose(ref_m2, n * (padded.real.var(axis=-1) + padded.imag.var(axis=-1)), rtol=1e-12)
-    se = _estimate_from_moments(mean, m2, n, 2.0).stderr
-    np.testing.assert_allclose(se, 2.0 * np.sqrt(ref_m2 / (n - 1) / n), rtol=1e-12)
+    mean, m2, count = _moments(vals)
+    assert count == 1000
+    np.testing.assert_allclose(mean, vals.mean(axis=-1), rtol=1e-12)
+    np.testing.assert_allclose(m2, 1000 * (vals.real.var(axis=-1) + vals.imag.var(axis=-1)), rtol=1e-12)
+    se = _lattice_estimate(vals, 2.0).stderr
+    np.testing.assert_allclose(se, 2.0 * np.sqrt(m2 / 999 / 1000), rtol=1e-12)
 
 
 def test_one_value_has_zero_stderr():
-    est = _estimate_from_moments(*_moments(np.array([2.5])), 3.0)
-    assert est.value == 7.5 and est.stderr == 0.0
-    est = _estimate_from_moments(*_moments(np.zeros(0), 1), 1.0)
-    assert est.value == 0.0 and est.stderr == 0.0
+    est = _lattice_estimate(np.array([2.5]), 3.0)
+    assert (est.value, est.stderr, est.n) == (7.5, 0.0, 1)
+    # one lattice whose draws were all left out
+    est = _masked_estimate(np.zeros(0), np.zeros(0, dtype=int), (1, 4), 1.0)
+    assert (est.value, est.stderr, est.n) == (0.0, 0.0, 1)
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heiskit import core, domains, quadrature, riesz
-from heiskit.quadrature import SampleConfig, _lattice_chunks, _lattice_shape, _masked_estimate
+from heiskit.quadrature import SampleConfig, _lattice_map, _lattice_shape, _masked_estimate
 from test_oscillation import bump_dt, bump_dt_sup
 
 RNG = np.random.default_rng(123)
@@ -419,8 +419,8 @@ def test_testing_scan_matches_dense_reference(case):
 
 def lattice_points(n, seed):
     """The unit-square points of a surface sample's lattices for (n, seed), as one (2, R, N) array."""
-    make, chunks = _lattice_chunks(2, _lattice_shape(2, n, domains._SURFACE_REPS), seed)
-    return np.concatenate([make(*chunk) for chunk in chunks], axis=1)
+    shape = _lattice_shape(2, n, domains._SURFACE_REPS)
+    return np.concatenate(_lattice_map(2, shape, seed, lambda u, first: u), axis=1)
 
 
 def test_shell_mixture_weights_are_exact():
