@@ -290,7 +290,7 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
         t *= region.t1 - region.t0
         t += region.t0
         t += region.shear(y)
-        w = np.stack((y, t), axis=-1)
+        w = u.reshape(2, -1).T  # the (y, t) of each draw, in place in the chunk
         grad = intrinsic_gradient(g, w)
         return w, graph_map(g, w), _area_factor(grad) * (region.area / (reps * size)), grad
 

@@ -188,14 +188,17 @@ def _lattice_map(d: int, shape: tuple[int, int], seed: int, fn: Callable[[np.nda
     lattice = np.stack([j * z % size for z in gens])[:, None, :] / size
     per = CHUNK // size
 
-    def one(first: int):
+    def chunk(first: int) -> np.ndarray:
         u = lattice + np.random.default_rng([seed, first // per]).random((d, min(per, reps - first), 1))
         # the fold of u mod 1 is twice the distance from u to the nearest
         # integer, which skips the costly float modulo
         u -= np.rint(u)
         np.abs(u, out=u)
         u *= 2.0
-        return fn(u, first)
+        return u
+
+    def one(first: int):
+        return fn(chunk(first), first)  # fn holds the one reference, so it may free the chunk
 
     firsts = range(0, reps, per)
     workers = _workers()

@@ -400,6 +400,7 @@ def testing_scan(
             def terms(u: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
                 # one step from lattices to kernel terms, so no full-size draw outlives its filter
                 w = shell.draw(u).reshape(-1, 2)
+                del u
                 inside = np.flatnonzero(region.contains_w(w))
                 w, rep = w[inside], first + inside // shape[1]
                 w, q, fa, rep = _bump_samples(psi, w, graph_map(g, w), intrinsic_gradient(g, w), rep)
