@@ -284,13 +284,13 @@ def surface_sample(g: IntrinsicGraph, region: Rect, n: int, seed: int) -> Weight
     reps, size = shape = _lattice_shape(2, n, _SURFACE_REPS)
 
     def push(u: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
-        y, t = u.reshape(2, -1)
+        y, t = planes = u.reshape(2, -1)
         y *= region.y1 - region.y0
         y += region.y0
         t *= region.t1 - region.t0
         t += region.t0
         t += region.shear(y)
-        w = u.reshape(2, -1).T  # the (y, t) of each draw, in place in the chunk
+        w = planes.T  # the (y, t) of each draw, in place in the chunk
         grad = intrinsic_gradient(g, w)
         return w, graph_map(g, w), _area_factor(grad) * (region.area / (reps * size)), grad
 

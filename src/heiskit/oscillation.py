@@ -133,7 +133,9 @@ def _perimeters(omega, ball: Ball, nodes, cfg: SampleConfig) -> Estimate:
     d, points = (3, _ball_points) if getattr(omega, "crossing", None) is None else (2, _disc_points)
 
     def means(u: np.ndarray, first: int) -> np.ndarray:
-        rows = [gap.mean(axis=-1) for gap in _gaps(omega, ball, points(u, ball), nodes)]
+        pts = points(u, ball)
+        del u  # the 3-D lattices are spent once mapped to the ball
+        rows = [gap.mean(axis=-1) for gap in _gaps(omega, ball, pts, nodes)]
         return np.array(rows + [np.mean(rows, axis=0)])
 
     parts = _lattice_map(d, _lattice_shape(d, cfg.n, _BALL_REPS), cfg.seed, means)

@@ -252,8 +252,8 @@ def _moments(vals: np.ndarray) -> tuple:
 
 
 def _lattice_estimate(means: np.ndarray, scale: float, ref: float = 0.0) -> Estimate:
-    """scale times ref plus the mean of the R lattice means along the last
-    axis of means, taken about ref, with the stderr of their spread.
+    """scale * (ref + the mean of the R lattice means along the last axis of
+    means, which are taken about ref), with the stderr of their spread.
 
     Taking the means about a value of the draws, such as the first, keeps
     their rounding at the scale of the spread rather than of the values, so
@@ -291,14 +291,16 @@ def integrate_ball(f: Callable[[np.ndarray], np.ndarray], ball: Ball, cfg: Sampl
     """
 
     def means(u: np.ndarray, first: int) -> tuple:
-        flat = _ball_points(u, ball).reshape(-1, 3)
+        pts = _ball_points(u, ball)
+        del u  # so the integrand's temporaries may reuse its memory
+        flat = pts.reshape(-1, 3)
         vals = np.asarray(f(flat), dtype=float)
         if vals.shape != (len(flat),):
             raise ValueError("integrand must map (m, 3) points to (m,) values")
         if not np.all(np.isfinite(vals)):
             bad = int(np.argmax(~np.isfinite(vals)))
             raise NonFiniteIntegrandError(flat[bad], float(vals[bad]))
-        return vals[0], (vals - vals[0]).reshape(u.shape[1:]).mean(axis=-1)
+        return vals[0], (vals - vals[0]).reshape(pts.shape[:2]).mean(axis=-1)
 
     # each chunk's lattice means about its first value, moved to the first chunk's
     parts = _lattice_map(3, _lattice_shape(3, cfg.n, _BALL_REPS), cfg.seed, means)
